@@ -1,7 +1,7 @@
 """Circuit-level composition of spin-wave gates.
 
 Majority-inverter logic is the natural target of SW majority gates; this
-package provides a small netlist layer (networkx-backed), a cell library
+package provides a small netlist layer (a plain dict DAG), a cell library
 with cost models and physical gate bindings, MAJ-based synthesis of
 adders, circuit-level area/delay/energy estimation contrasting
 data-parallel against scalar implementations -- the system-level

@@ -42,7 +42,6 @@ monkeypatched tests), the engine falls back to the per-op path whose
 hooks still fire.
 """
 
-import hashlib
 import math
 import pickle
 import time
@@ -53,10 +52,12 @@ import numpy as np
 
 from repro import obs
 from repro.circuits.engine import (
-    CellFault,
     CellRecord,
     CircuitRunResult,
+    LazyCellRecords,
     LevelReport,
+    check_mode,
+    normalise_faults,
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.core.faults import FaultySimulator
@@ -114,35 +115,11 @@ def netlist_signature(netlist):
     (:meth:`~repro.circuits.netlist.Netlist.mark_output`) change the
     signature even though they do not bump the topology revision --
     caches keyed here never serve stale output lists.
+
+    Memoised on the netlist until an ``add_*`` or output edit; never
+    pickled.
     """
-    digest = hashlib.sha256()
-    for name in sorted(netlist.topological_order()):
-        node = netlist.node(name)
-        digest.update(repr((node.name, node.kind, node.fanin)).encode())
-    digest.update(repr(tuple(netlist.outputs)).encode())
-    return digest.hexdigest()
-
-
-def _normalise_faults(netlist, faults):
-    """{cell name: TransducerFault} with the engine's validation rules."""
-    fault_map = {}
-    for item in faults:
-        if not isinstance(item, CellFault):
-            raise NetlistError(
-                f"faults must be CellFault instances, got {item!r}"
-            )
-        node = netlist.node(item.cell)
-        if node.kind not in PHYSICAL_BINDINGS:
-            raise NetlistError(
-                f"cell {item.cell!r} ({node.kind}) has no transducers "
-                "to fault (INV/BUF are detector-placement choices)"
-            )
-        if item.cell in fault_map:
-            raise NetlistError(
-                f"cell {item.cell!r} carries more than one fault"
-            )
-        fault_map[item.cell] = item.fault
-    return fault_map
+    return netlist.signature()
 
 
 class _OpPlan:
@@ -178,10 +155,12 @@ class _LevelPlan:
 
 
 class _PackedRun:
-    """Scratch state of one padded execution (consumed immediately)."""
+    """State of one padded execution.  ``buf`` and ``failed`` are
+    reused scratch (results copy what they need); the ``level_data``
+    arrays are fresh per execution, so results may keep them."""
 
     __slots__ = ("n_groups", "n_valid", "buf", "failed", "level_data",
-                 "dead_meta")
+                 "dead_meta", "_minima")
 
     def __init__(self, n_groups, n_valid, buf, failed, level_data, dead_meta):
         self.n_groups = n_groups
@@ -190,6 +169,24 @@ class _PackedRun:
         self.failed = failed
         self.level_data = level_data
         self.dead_meta = dead_meta
+        self._minima = None
+
+    def level_minima(self):
+        """Per level, each group's smallest margin over live (not dead,
+        not padding) bits, ``inf`` if none; computed once per block."""
+        if self._minima is None:
+            n_bits = self.buf.shape[1] // self.n_groups
+            valid = np.arange(n_bits) < np.asarray(self.n_valid)[:, None]
+            minima = np.full((len(self.level_data), self.n_groups), np.inf)
+            for row, op_data in zip(minima, self.level_data):
+                for _, margins, _, dead_rows in op_data:
+                    live = valid & ~dead_rows[:, :, None]
+                    np.minimum(
+                        row, np.where(live, margins, np.inf).min(axis=(0, 2)),
+                        out=row,
+                    )
+            self._minima = minima.tolist()
+        return self._minima
 
 
 class CompiledCircuit:
@@ -269,13 +266,15 @@ class CompiledCircuit:
         order = self.netlist.topological_order()
         self._slots = {name: i for i, name in enumerate(order)}
         self.n_slots = len(order)
-        self._input_rows = []
+        # Rows of Netlist.input_block, in its row order.
+        self._input_slots = np.array(
+            [self._slots[name] for name in self.netlist.inputs],
+            dtype=np.intp,
+        )
         self._const_rows = []
         for name in order:
             node = self.netlist.node(name)
-            if node.kind == "input":
-                self._input_rows.append((name, self._slots[name]))
-            elif node.kind == "const0":
+            if node.kind == "const0":
                 self._const_rows.append((self._slots[name], 0))
             elif node.kind == "const1":
                 self._const_rows.append((self._slots[name], 1))
@@ -452,35 +451,12 @@ class CompiledCircuit:
                 self._faulty_cal[key] = None
         return self._faulty_cal[key]
 
-    # ------------------------------------------------------------------
-    # Input marshalling
-    # ------------------------------------------------------------------
-    def _write_inputs(self, buf, batch, group_start, group_end):
-        """Write one request's assignments into its group span of ``buf``.
-
-        Same validation and truncation semantics as the engine's
-        ``_input_values`` (the buffer rows replace its per-run arrays);
-        padding tail bits are explicitly zeroed because the buffer is
-        reused across runs.
-        """
-        n_bits = self.n_bits
-        start = group_start * n_bits
-        end = group_end * n_bits
-        n_entries = len(batch)
-        for name, slot in self._input_rows:
-            try:
-                column = [a[name] for a in batch]
-            except KeyError:
-                raise NetlistError(
-                    f"no value supplied for input {name!r}"
-                ) from None
-            row = buf[slot]
-            row[start + n_entries : end] = 0
-            row[start : start + n_entries] = np.asarray(
-                column, dtype=np.int64
-            )
-            if not np.isin(row[start : start + n_entries], (0, 1)).all():
-                raise NetlistError("logic values must all be 0 or 1")
+    def _write_block(self, buf, block, start, end):
+        """Write one request's input block into columns ``start:end``
+        (zeroing the padding tail: the buffer is reused)."""
+        stop = start + block.shape[1]
+        buf[self._input_slots, start:stop] = block
+        buf[self._input_slots, stop:end] = 0
 
     @staticmethod
     def _derived_noise(context, physical_index):
@@ -794,79 +770,75 @@ class CompiledCircuit:
                       n_entries, expected, faults, mode):
         """Materialise one request's :class:`CircuitRunResult`.
 
-        Must run before the next execution: the value buffer is shared
-        scratch, so every list the result carries is copied out here.
+        Must run before the next execution: the request's span of the
+        shared value buffer and failed mask is copied once; per-cell
+        records build from that copy on first access.  ``expected`` is
+        the request's ``Netlist.evaluate_block`` output.
         """
         n_bits = self.n_bits
         start = group_start * n_bits
-        buf = packed.buf
-        n_valid = packed.n_valid
-        records = {}
+        bits = packed.buf[:, start : start + n_entries].copy()
+        failed = packed.failed[start : start + n_entries].copy()
         level_reports = []
-        for plan, op_data in zip(self.levels, packed.level_data):
-            for name, slot, kind in plan.v_names:
-                records[name] = CellRecord(
-                    name=name,
-                    operation=kind,
-                    level=plan.level,
-                    bits=buf[slot, start : start + n_entries].tolist(),
-                )
-            minimum = math.inf
-            have_margin = False
-            for op, margins, amplitudes, dead_rows in op_data:
-                for cell_index, name in enumerate(op.names):
-                    bits_list = []
-                    margin_list = []
-                    amplitude_list = []
-                    row = buf[op.out_slots[cell_index]]
-                    for group in range(group_start, group_end):
-                        valid = n_valid[group]
-                        if dead_rows[cell_index, group]:
-                            bits_list.extend([None] * valid)
-                            margin_list.extend([math.nan] * valid)
-                            amplitude_list.extend([math.nan] * valid)
-                            continue
-                        window = slice(
-                            group * n_bits, group * n_bits + valid
-                        )
-                        bits_list.extend(row[window].tolist())
-                        chunk = margins[cell_index, group, :valid]
-                        margin_list.extend(chunk.tolist())
-                        amplitude_list.extend(
-                            amplitudes[cell_index, group, :valid].tolist()
-                        )
-                        have_margin = True
-                        minimum = min(minimum, chunk.min())
-                    records[name] = CellRecord(
-                        name=name,
-                        operation=op.operation,
-                        level=plan.level,
-                        bits=bits_list,
-                        margins=margin_list,
-                        amplitudes=amplitude_list,
-                    )
+        for plan, minima in zip(self.levels, packed.level_minima()):
+            minimum = min(minima[group_start:group_end])
             level_reports.append(
                 LevelReport(
                     level=plan.level,
                     n_cells=plan.n_cells,
                     n_physical=plan.n_physical,
-                    min_margin=float(minimum) if have_margin else None,
+                    min_margin=None if minimum == math.inf else minimum,
                 )
             )
-        failed = packed.failed[start : start + n_entries]
-        outputs = {}
-        for name in netlist.outputs:
-            column = buf[self._slots[name], start : start + n_entries]
-            outputs[name] = [
-                None if failed[i] else int(column[i])
-                for i in range(n_entries)
-            ]
+        # The closure keeps the level plans and this block's level data,
+        # not the artifact or its scratch buffers.
+        plans, level_data = self.levels, packed.level_data
+
+        def cell_records():
+            def span(array):
+                return array[:, group_start:group_end].reshape(
+                    len(array), -1
+                )[:, :n_entries]
+
+            records = {}
+            for plan, op_data in zip(plans, level_data):
+                for name, slot, kind in plan.v_names:
+                    records[name] = CellRecord(
+                        name=name, operation=kind, level=plan.level,
+                        bits=bits[slot].tolist(),
+                    )
+                for op, margins, amplitudes, dead_rows in op_data:
+                    cell_bits = bits[op.out_slots]
+                    dead = span(np.broadcast_to(
+                        dead_rows[:, :, None], margins.shape
+                    ))
+                    if dead.any():
+                        cell_bits = cell_bits.astype(object)
+                        cell_bits[dead] = None
+                    for name, row_bits, row_margins, row_amplitudes in zip(
+                        op.names, cell_bits.tolist(), span(margins).tolist(),
+                        span(amplitudes).tolist(),
+                    ):
+                        records[name] = CellRecord(
+                            name=name, operation=op.operation,
+                            level=plan.level, bits=row_bits,
+                            margins=row_margins, amplitudes=row_amplitudes,
+                        )
+            return records
+
+        names = netlist.outputs
+        outputs = bits[[self._slots[name] for name in names]]
+        if failed.any():
+            outputs = outputs.astype(object)
+            outputs[:, failed] = None
         return CircuitRunResult(
-            outputs=outputs,
-            expected=expected,
+            outputs=dict(zip(names, outputs.tolist())),
+            expected={
+                name: column.tolist() for name, column in expected.items()
+            },
             failed=failed.tolist(),
             levels=level_reports,
-            cells=records,
+            cells=LazyCellRecords(cell_records),
             n_entries=n_entries,
             faults=list(faults),
             mode=mode,
@@ -885,11 +857,7 @@ class CompiledCircuit:
         catches those *before* calling, so direct callers see a clear
         error rather than silently divergent physics.
         """
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
+        check_mode(mode)
         if not self.packable:
             raise SimulationError(
                 f"netlist {self.netlist.name!r} is not packable: "
@@ -901,16 +869,14 @@ class CompiledCircuit:
                 "the packed path bakes nominal weights in -- use "
                 "CircuitEngine.run(packed=False)"
             )
-        batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
-        fault_map = _normalise_faults(self.netlist, faults)
+        block = self.netlist.input_block(assignments_batch)
+        fault_map = normalise_faults(self.netlist, faults)
         n_bits = self.n_bits
-        n_entries = len(batch)
+        n_entries = block.shape[1]
         n_groups = -(-n_entries // n_bits)
         padded = n_groups * n_bits
         buf, failed = self._buffers(padded)
-        self._write_inputs(buf, batch, 0, n_groups)
+        self._write_block(buf, block, 0, padded)
         n_valid = [
             min(n_entries - group * n_bits, n_bits)
             for group in range(n_groups)
@@ -924,10 +890,9 @@ class CompiledCircuit:
             error = self._first_dead(packed, 0, n_groups)
             if error is not None:
                 raise error
-        expected = self.netlist.evaluate_batch(batch)
         return self._build_result(
-            packed, self.netlist, 0, n_groups, n_entries, expected, faults,
-            mode,
+            packed, self.netlist, 0, n_groups, n_entries,
+            self.netlist.evaluate_block(block), faults, mode,
         )
 
     # ------------------------------------------------------------------
@@ -1035,7 +1000,7 @@ class CompiledCircuit:
 
 #: On-disk artifact format version; :meth:`CompiledCircuit.load`
 #: refuses snapshots written by an incompatible layout.
-ARTIFACT_FORMAT = 1
+ARTIFACT_FORMAT = 2
 
 #: Per-process runtime state excluded from saved artifacts: bindings
 #: are re-attached on load, scratch buffers and faulty-simulator

@@ -72,6 +72,7 @@ True
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,6 +100,36 @@ class CellFault:
         return f"{self.cell}:{self.fault.describe()}"
 
 
+def check_mode(mode):
+    """Raise :class:`~repro.errors.NetlistError` for an unknown mode."""
+    if mode not in ("phasor", "trace"):
+        raise NetlistError(
+            f"unknown execution mode {mode!r}; supported: 'phasor', 'trace'"
+        )
+
+
+def normalise_faults(netlist, faults):
+    """{cell name: TransducerFault}, validated for every execution path."""
+    fault_map = {}
+    for item in faults:
+        if not isinstance(item, CellFault):
+            raise NetlistError(
+                f"faults must be CellFault instances, got {item!r}"
+            )
+        node = netlist.node(item.cell)
+        if node.kind not in PHYSICAL_BINDINGS:
+            raise NetlistError(
+                f"cell {item.cell!r} ({node.kind}) has no transducers "
+                "to fault (INV/BUF are detector-placement choices)"
+            )
+        if item.cell in fault_map:
+            raise NetlistError(
+                f"cell {item.cell!r} carries more than one fault"
+            )
+        fault_map[item.cell] = item.fault
+    return fault_map
+
+
 @dataclass
 class CellRecord:
     """Per-instance decode detail of one cell across the batch.
@@ -113,6 +144,36 @@ class CellRecord:
     bits: list
     margins: list = None
     amplitudes: list = None
+
+
+class LazyCellRecords(Mapping):
+    """Read-only ``{cell name: CellRecord}``: ``build()`` runs on first
+    access and must not close over reused scratch buffers.  Pickles as
+    a plain dict."""
+
+    __slots__ = ("_build", "_records")
+
+    def __init__(self, build):
+        self._build = build
+        self._records = None
+
+    def _materialise(self):
+        if self._records is None:
+            self._records = self._build()
+            self._build = None
+        return self._records
+
+    def __getitem__(self, name):
+        return self._materialise()[name]
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    def __len__(self):
+        return len(self._materialise())
+
+    def __reduce__(self):
+        return dict, (dict(self._materialise()),)
 
 
 @dataclass
@@ -135,8 +196,11 @@ class CircuitRunResult:
     ``outputs[name][i]`` is ``None`` when entry ``i`` failed outright (a
     fault silenced a decode); ``failed`` marks those entries.  ``levels``
     carries the per-level decode-margin report; ``cells`` the per-cell
-    decode detail.  ``mode`` records which execution semantics produced
-    the result (``"phasor"`` steady state or ``"trace"`` waveform).
+    decode detail as a read-only ``{name: CellRecord}`` mapping (on the
+    packed path a :class:`LazyCellRecords`, built on first access, so
+    callers that never read it never pay for it).  ``mode`` records
+    which execution semantics produced the result (``"phasor"`` steady
+    state or ``"trace"`` waveform).
     ``trace`` is the per-request timing breakdown
     (:class:`~repro.circuits.executor.RequestTrace`) when the run was
     served by a tracing :class:`~repro.circuits.executor.CircuitExecutor`
@@ -161,13 +225,13 @@ class CircuitRunResult:
     @property
     def word_errors(self):
         """Entries that failed or disagree with the Boolean reference."""
-        errors = 0
-        for i in range(self.n_entries):
-            if self.failed[i] or any(
-                self.outputs[o][i] != self.expected[o][i] for o in self.outputs
-            ):
-                errors += 1
-        return errors
+        wrong = list(self.failed[: self.n_entries])
+        for name, bits in self.outputs.items():
+            wrong = [
+                bad or bit != want
+                for bad, bit, want in zip(wrong, bits, self.expected[name])
+            ]
+        return sum(wrong)
 
     @property
     def min_margin(self):
@@ -284,55 +348,6 @@ class CircuitEngine:
     # ------------------------------------------------------------------
     # Batch plumbing
     # ------------------------------------------------------------------
-    def _normalise_batch(self, assignments_batch):
-        batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
-        return batch
-
-    def _normalise_faults(self, faults):
-        fault_map = {}
-        for item in faults:
-            if not isinstance(item, CellFault):
-                raise NetlistError(
-                    f"faults must be CellFault instances, got {item!r}"
-                )
-            node = self.netlist.node(item.cell)
-            if node.kind not in PHYSICAL_BINDINGS:
-                raise NetlistError(
-                    f"cell {item.cell!r} ({node.kind}) has no transducers "
-                    "to fault (INV/BUF are detector-placement choices)"
-                )
-            if item.cell in fault_map:
-                raise NetlistError(
-                    f"cell {item.cell!r} carries more than one fault"
-                )
-            fault_map[item.cell] = item.fault
-        return fault_map
-
-    def _input_values(self, batch, padded):
-        """{level-0 node: (padded,) int array} from the assignments."""
-        values = {}
-        for name in self.netlist.topological_order():
-            node = self.netlist.node(name)
-            if node.kind == "input":
-                try:
-                    column = [a[name] for a in batch]
-                except KeyError:
-                    raise NetlistError(
-                        f"no value supplied for input {name!r}"
-                    ) from None
-                array = np.zeros(padded, dtype=np.int64)
-                array[: len(batch)] = np.asarray(column, dtype=np.int64)
-                if not np.isin(array[: len(batch)], (0, 1)).all():
-                    raise NetlistError("logic values must all be 0 or 1")
-                values[name] = array
-            elif node.kind == "const0":
-                values[name] = np.zeros(padded, dtype=np.int64)
-            elif node.kind == "const1":
-                values[name] = np.ones(padded, dtype=np.int64)
-        return values
-
     def _cell_noise(self, noise, cell_name, group, n_groups):
         """An independent, deterministic noise model per (cell, group)."""
         if noise is None:
@@ -430,11 +445,6 @@ class CircuitEngine:
         """
         from repro.circuits import compiled as _compiled
 
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
         if noise is not None and noise.position_sigma > 0:
             return None
         if not _compiled.physics_pristine():
@@ -481,18 +491,20 @@ class CircuitEngine:
 
     def _execute(self, assignments_batch, faults, noise, strict, batched,
                  mode="phasor"):
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
+        check_mode(mode)
         self._refresh_schedule()  # picks up netlist growth (revision key)
-        batch = self._normalise_batch(assignments_batch)
-        fault_map = self._normalise_faults(faults)
-        n_entries = len(batch)
+        block = self.netlist.input_block(assignments_batch)
+        fault_map = normalise_faults(self.netlist, faults)
+        n_entries = block.shape[1]
         n_groups = -(-n_entries // self.n_bits)
         padded = n_groups * self.n_bits
-        values = self._input_values(batch, padded)
+        rows = np.zeros((len(block), padded), dtype=np.int64)
+        rows[:, :n_entries] = block
+        values = dict(zip(self.netlist.inputs, rows))
+        for name in self.netlist.topological_order():
+            kind = self.netlist.node(name).kind
+            if kind in ("const0", "const1"):
+                values[name] = np.full(padded, int(kind[-1]), dtype=np.int64)
         failed = np.zeros(padded, dtype=bool)
         records = {}
         level_reports = []
@@ -565,7 +577,10 @@ class CircuitEngine:
                 )
             )
 
-        expected = self.netlist.evaluate_batch(batch)
+        expected = {
+            name: bits.tolist()
+            for name, bits in self.netlist.evaluate_block(block).items()
+        }
         outputs = {}
         for name in self.netlist.outputs:
             column = values[name][:n_entries]

@@ -50,7 +50,7 @@ def circuit_cost(netlist, library):
         n_cells += 1
     delay = 0.0
     for name in netlist.critical_path():
-        node = netlist.graph().nodes[name]["node"]
+        node = netlist.node(name)
         if node.kind in ("input", "const0", "const1"):
             continue
         delay += library.get(node.kind).delay

@@ -57,15 +57,13 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from repro import obs as _obs
 from repro.circuits.compiled import (
     CompiledCircuitCache,
-    _normalise_faults,
     netlist_signature,
     physics_pristine,
 )
+from repro.circuits.engine import check_mode, normalise_faults
 from repro.circuits.library import GateBindings, physical_arity
 from repro.errors import (
     EncodingError,
@@ -211,11 +209,11 @@ class ExecutionTicket:
 
 
 class _Request:
-    """One queued submission plus its pre-validated input columns."""
+    """One queued submission plus its validated input block."""
 
     __slots__ = (
         "netlist", "batch", "faults", "fault_map", "noise", "strict",
-        "ticket", "n_entries", "n_groups", "input_columns", "signature",
+        "ticket", "n_entries", "n_groups", "block", "signature",
         "born", "trace",
     )
 
@@ -349,28 +347,24 @@ class CircuitExecutor:
         """Queue one evaluation request; returns its ticket.
 
         Validation that a standalone run performs up front (mode, empty
-        batch, fault plumbing, input presence and 0/1 values) raises
+        batch, input presence and 0/1 values, fault plumbing) raises
         here, at the call site that caused it; physics-level failures
-        surface later through the ticket.
+        surface later through the ticket.  The batch is validated once,
+        into the ``Netlist.input_block`` the flush writes.
 
         ``request_id`` names the request in traces, events and block
         tenant lists (the serving daemon passes a client-supplied
         ``X-Request-Id`` through here); omitted, a fresh
         ``req-<hex>`` ID is minted.
         """
-        if mode not in ("phasor", "trace"):
-            raise NetlistError(
-                f"unknown execution mode {mode!r}; "
-                "supported: 'phasor', 'trace'"
-            )
+        check_mode(mode)
         batch = list(assignments_batch)
-        if not batch:
-            raise NetlistError("no assignments supplied")
         request = _Request()
+        request.block = netlist.input_block(batch)
         request.netlist = netlist
         request.batch = batch
         request.faults = list(faults)
-        request.fault_map = _normalise_faults(netlist, request.faults)
+        request.fault_map = normalise_faults(netlist, request.faults)
         for cell, fault in request.fault_map.items():
             # Mirror FaultySimulator's range validation here so a bad
             # fault raises at its own call site instead of surfacing
@@ -389,7 +383,6 @@ class CircuitExecutor:
         request.ticket = ExecutionTicket(self, request_id=request_id)
         request.n_entries = len(batch)
         request.n_groups = -(-request.n_entries // self.n_bits)
-        request.input_columns = self._input_columns(netlist, batch)
         request.signature = netlist_signature(netlist)
         request.born = time.monotonic()
         if self.trace_requests:
@@ -438,30 +431,6 @@ class CircuitExecutor:
             netlist, assignments_batch, faults=faults, noise=noise,
             strict=strict, mode=mode, request_id=request_id,
         ).result()
-
-    def _input_columns(self, netlist, batch):
-        """Pre-validated {input name: (n_entries,) int64 column}.
-
-        Mirrors the engine's ``_input_values`` semantics (including its
-        integer truncation of float values) so submit-time validation
-        matches what a standalone run would have raised.
-        """
-        columns = {}
-        n_entries = len(batch)
-        for name in netlist.inputs:
-            try:
-                column = [a[name] for a in batch]
-            except KeyError:
-                raise NetlistError(
-                    f"no value supplied for input {name!r}"
-                ) from None
-            array = np.asarray(column, dtype=np.int64)
-            if array.shape != (n_entries,) or not np.isin(
-                array, (0, 1)
-            ).all():
-                raise NetlistError("logic values must all be 0 or 1")
-            columns[name] = array
-        return columns
 
     # ------------------------------------------------------------------
     # Execution
@@ -578,12 +547,10 @@ class CircuitExecutor:
                 spans = []
                 group_cursor = 0
                 for request in requests:
-                    start = group_cursor * n_bits
-                    end = (group_cursor + request.n_groups) * n_bits
-                    for name, column in request.input_columns.items():
-                        row = buf[artifact._slots[name]]
-                        row[start + request.n_entries : end] = 0
-                        row[start : start + request.n_entries] = column
+                    artifact._write_block(
+                        buf, request.block, group_cursor * n_bits,
+                        (group_cursor + request.n_groups) * n_bits,
+                    )
                     for group in range(request.n_groups):
                         contexts.append(
                             (request.noise, request.n_groups, group)
@@ -669,10 +636,11 @@ class CircuitExecutor:
                             )
                         request.ticket._resolve(error=error, trace=trace)
                         continue
-                expected = request.netlist.evaluate_batch(request.batch)
                 result = artifact._build_result(
                     packed, request.netlist, group_start, group_end,
-                    request.n_entries, expected, request.faults, mode,
+                    request.n_entries,
+                    request.netlist.evaluate_block(request.block),
+                    request.faults, mode,
                 )
             except Exception as exc:
                 self.obs.inc("executor.errors.request")
@@ -693,7 +661,7 @@ class CircuitExecutor:
         trace = request.trace
         if trace is not None:
             trace.path = "fallback"
-        signature = netlist_signature(request.netlist)
+        signature = request.signature
         with self._lock:
             engine = self._engines.get(signature)
             if engine is None:

@@ -15,9 +15,10 @@ output) deliberately does not: the cached tuples depend only on the
 DAG, and every output-sensitive query (:meth:`Netlist.evaluate`,
 :meth:`Netlist.depth`, :meth:`Netlist.critical_path`) reads the live
 output list on top of the cache -- pinned by the regression tests in
-``tests/test_circuits.py``.  :meth:`Netlist.evaluate_batch` evaluates
-many assignments as whole-array operations -- it is the Boolean
-reference the physical circuit engine
+``tests/test_circuits.py``.  :meth:`Netlist.input_block` validates a
+batch of assignments once into an ``(n_inputs, n_entries)`` bit block,
+and :meth:`Netlist.evaluate_block` evaluates it as whole-array
+operations -- the Boolean reference the physical circuit engine
 (:class:`repro.circuits.engine.CircuitEngine`, which executes the same
 levelized schedule on batched spin-wave gates) is pinned against.
 
@@ -36,9 +37,11 @@ True
 {'x': 1, 'a': 1}
 """
 
+import hashlib
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 
-import networkx as nx
 import numpy as np
 
 from repro.core.encoding import validate_bit
@@ -54,14 +57,22 @@ _OPERATIONS = {
 
 _ARITY = {"MAJ3": 3, "INV": 1, "XOR2": 2, "BUF": 1}
 
-#: Array-native evaluators: each maps a list of (n,) int arrays (one per
+#: Array-native evaluators: each maps a list of (n,) 0/1 arrays (one per
 #: fanin) to the (n,) output array -- the vectorised twin of _OPERATIONS.
-_BATCH_OPERATIONS = {
-    "MAJ3": lambda bits: (bits[0] + bits[1] + bits[2] >= 2).astype(np.int64),
+_BLOCK_OPERATIONS = {
+    "MAJ3": lambda bits: (
+        (bits[0] & bits[1]) | (bits[0] & bits[2]) | (bits[1] & bits[2])
+    ),
     "INV": lambda bits: 1 - bits[0],
     "XOR2": lambda bits: bits[0] ^ bits[1],
-    "BUF": lambda bits: bits[0].copy(),
+    "BUF": lambda bits: bits[0],
 }
+
+#: Bits that skip the per-element validate_bit check.
+_BIT_TYPES = frozenset((bool, int, float))
+_BITS = frozenset((0, 1))
+
+_Topology = namedtuple("_Topology", ("order", "levels", "parents", "schedule"))
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,13 @@ class Netlist:
 
     def __init__(self, name="netlist"):
         self.name = name
-        self._graph = nx.DiGraph()
+        # The DAG: name -> Node (insertion order, itself topological)
+        # and name -> {consumer: None} (distinct, in wiring order).
+        self._nodes = {}
+        self._fanout = {}
+        self._inputs = []
         self._outputs = []
-        # (order, levels, parents, schedule) -- rebuilt lazily after any
+        # _Topology of the current DAG -- rebuilt lazily after any
         # topology change (see _topology).
         self._topology_cache = None
         # Monotonic counter bumped by every topology change; consumers
@@ -88,34 +103,45 @@ class Netlist:
         # on it instead of on schedule identity, so pickling or cache
         # round-trips never force spurious recompiles.
         self._revision = 0
+        self._signature = None  # ((revision, outputs), digest) memo
+
+    def __getstate__(self):
+        # Never pickle the signature memo: a loaded netlist re-hashes.
+        state = self.__dict__.copy()
+        state["_signature"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _check_fresh(self, name):
-        if name in self._graph:
-            raise NetlistError(f"node {name!r} already exists")
+    def _add(self, node):
+        if node.name in self._nodes:
+            raise NetlistError(f"node {node.name!r} already exists")
+        self._nodes[node.name] = node
+        self._fanout[node.name] = {}
+        for driver in node.fanin:
+            self._fanout[driver][node.name] = None
+        self._topology_cache = None
+        self._revision += 1
+        return node.name
 
     def add_input(self, name):
         """Declare a primary input; returns its name."""
-        self._check_fresh(name)
-        self._graph.add_node(name, node=Node(name, "input"))
-        self._topology_cache = None
-        self._revision += 1
+        self._add(Node(name, "input"))
+        self._inputs.append(name)
         return name
 
     def add_const(self, name, value):
         """Declare a constant 0/1 node; returns its name."""
-        self._check_fresh(name)
-        value = validate_bit(value)
-        self._graph.add_node(name, node=Node(name, f"const{value}"))
-        self._topology_cache = None
-        self._revision += 1
-        return name
+        return self._add(Node(name, f"const{validate_bit(value)}"))
 
     def add_cell(self, name, operation, fanin):
-        """Add a cell ``operation`` driven by existing nodes ``fanin``."""
-        self._check_fresh(name)
+        """Add a cell ``operation`` driven by existing nodes ``fanin``.
+
+        A fresh cell whose fanin already exists cannot close a loop.
+        """
+        if name in self._nodes:
+            raise NetlistError(f"node {name!r} already exists")
         if operation not in _OPERATIONS:
             raise NetlistError(
                 f"unknown operation {operation!r}; "
@@ -128,19 +154,9 @@ class Netlist:
                 f"got {len(fanin)}"
             )
         for driver in fanin:
-            if driver not in self._graph:
+            if driver not in self._nodes:
                 raise NetlistError(f"fanin node {driver!r} does not exist")
-        self._graph.add_node(name, node=Node(name, operation, fanin))
-        for driver in fanin:
-            self._graph.add_edge(driver, name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(name)
-            raise NetlistError(
-                f"adding {name!r} would create a combinational loop"
-            )
-        self._topology_cache = None
-        self._revision += 1
-        return name
+        return self._add(Node(name, operation, fanin))
 
     def mark_output(self, name):
         """Register an existing node as a primary output.
@@ -157,7 +173,7 @@ class Netlist:
         output's polarity means adding an ``INV`` cell (which does
         invalidate) and marking it.
         """
-        if name not in self._graph:
+        if name not in self._nodes:
             raise NetlistError(f"cannot mark unknown node {name!r} as output")
         if name not in self._outputs:
             self._outputs.append(name)
@@ -181,10 +197,7 @@ class Netlist:
     @property
     def inputs(self):
         """Primary input names in insertion order."""
-        return [
-            n for n in self._graph.nodes
-            if self._graph.nodes[n]["node"].kind == "input"
-        ]
+        return list(self._inputs)
 
     @property
     def outputs(self):
@@ -193,14 +206,11 @@ class Netlist:
 
     def cells(self, operation=None):
         """Cell nodes, optionally filtered by operation."""
-        result = []
-        for n in self._graph.nodes:
-            node = self._graph.nodes[n]["node"]
-            if node.kind in _OPERATIONS and (
-                operation is None or node.kind == operation
-            ):
-                result.append(node)
-        return result
+        return [
+            node for node in self._nodes.values()
+            if node.kind in _OPERATIONS
+            and (operation is None or node.kind == operation)
+        ]
 
     def cell_counts(self):
         """Histogram {operation: count} over all cells."""
@@ -213,21 +223,35 @@ class Netlist:
     # Topology (cached)
     # ------------------------------------------------------------------
     def _topology(self):
-        """Cached ``(order, levels, parents, schedule)`` of the DAG.
+        """Cached order, levels, parents and schedule of the DAG.
 
-        One topological sort serves :meth:`evaluate`,
-        :meth:`evaluate_batch`, :meth:`depth`, :meth:`critical_path` and
-        the physical engine's level schedule; any ``add_*`` call
-        invalidates the cache.
+        Kahn's algorithm one generation at a time (sources in insertion
+        order, then released consumers in wiring order) fixes the
+        compiled slot layout; any ``add_*`` call invalidates the cache.
         """
         if self._topology_cache is None:
-            order = tuple(nx.topological_sort(self._graph))
+            pending = {}
+            ready = []
+            for name, node in self._nodes.items():
+                if node.fanin:
+                    pending[name] = len(set(node.fanin))
+                else:
+                    ready.append(name)
+            order = []
+            while ready:
+                order.extend(ready)
+                generation, ready = ready, []
+                for name in generation:
+                    for consumer in self._fanout[name]:
+                        pending[consumer] -= 1
+                        if not pending[consumer]:
+                            ready.append(consumer)
             levels = {}
             parents = {}
             buckets = {}
             for name in order:
-                node = self._graph.nodes[name]["node"]
-                if node.kind in ("input", "const0", "const1"):
+                node = self._nodes[name]
+                if not node.fanin:
                     levels[name] = 0
                     parents[name] = None
                 else:
@@ -238,23 +262,25 @@ class Netlist:
             schedule = tuple(
                 tuple(buckets[level]) for level in sorted(buckets)
             )
-            self._topology_cache = (order, levels, parents, schedule)
+            self._topology_cache = _Topology(
+                tuple(order), levels, parents, schedule
+            )
         return self._topology_cache
 
     def node(self, name):
         """The :class:`Node` record of ``name``; raises when unknown."""
         try:
-            return self._graph.nodes[name]["node"]
+            return self._nodes[name]
         except KeyError:
             raise NetlistError(f"unknown node {name!r}") from None
 
     def topological_order(self):
         """Cached topological node order (tuple of names)."""
-        return self._topology()[0]
+        return self._topology().order
 
     def levels(self):
         """{node name: level}; inputs/constants are level 0 (cached)."""
-        return dict(self._topology()[1])
+        return dict(self._topology().levels)
 
     def level_schedule(self):
         """Cells grouped by level: entry ``l - 1`` holds the level-``l``
@@ -265,7 +291,7 @@ class Netlist:
         level's cells evaluate as one batch
         (:class:`repro.circuits.engine.CircuitEngine`).
         """
-        return self._topology()[3]
+        return self._topology().schedule
 
     # ------------------------------------------------------------------
     # Evaluation and timing
@@ -276,8 +302,7 @@ class Netlist:
         Returns {output name: bit}.  Raises on missing inputs.
         """
         values = {}
-        for name in self.topological_order():
-            node = self._graph.nodes[name]["node"]
+        for name, node in self._nodes.items():
             if node.kind == "input":
                 if name not in assignments:
                     raise NetlistError(f"no value supplied for input {name!r}")
@@ -289,60 +314,88 @@ class Netlist:
             else:
                 bits = [values[d] for d in node.fanin]
                 values[name] = _OPERATIONS[node.kind](bits)
-        missing = [o for o in self._outputs if o not in values]
-        if missing:
-            raise NetlistError(f"outputs {missing!r} were never computed")
+        return {o: values[o] for o in self._outputs}
+
+    def input_block(self, assignments_batch):
+        """The ``(n_inputs, n_entries)`` uint8 block of a batch of
+        ``{input name: bit}`` mappings -- the circuit layer's one input
+        check.  Bits follow :func:`~repro.core.encoding.validate_bit`
+        (``EncodingError`` unless a bool, int or float equal to 0 or 1);
+        a missing input or an empty batch raises ``NetlistError``.
+
+        >>> netlist = Netlist("block")
+        >>> _ = netlist.add_input("a")
+        >>> _ = netlist.add_input("b")
+        >>> netlist.input_block([{"a": 1, "b": 0}, {"a": True, "b": 1.0}])
+        array([[1, 1],
+               [0, 1]], dtype=uint8)
+        """
+        batch = list(assignments_batch)
+        if not batch:
+            raise NetlistError("no assignments supplied")
+        rows = []
+        for name in self._inputs:
+            try:
+                rows.append([assignments[name] for assignments in batch])
+            except KeyError:
+                raise NetlistError(
+                    f"no value supplied for input {name!r}"
+                ) from None
+        bits = list(chain.from_iterable(rows))
+        if not (set(map(type, bits)) <= _BIT_TYPES and set(bits) <= _BITS):
+            rows = [[validate_bit(bit) for bit in row] for row in rows]
+        return np.array(rows, dtype=np.uint8).reshape(len(rows), len(batch))
+
+    def evaluate_block(self, block):
+        """``{output name: (n_entries,) array}`` over an
+        :meth:`input_block` block; entry ``i`` equals :meth:`evaluate`
+        of column ``i`` (arrays may share memory with ``block``)."""
+        if np.ndim(block) != 2 or len(block) != len(self._inputs):
+            raise NetlistError(f"input block needs {len(self._inputs)} rows")
+        values = dict(zip(self._inputs, block))
+        n_entries = block.shape[1]
+        for name, node in self._nodes.items():
+            if node.kind in _BLOCK_OPERATIONS:
+                values[name] = _BLOCK_OPERATIONS[node.kind](
+                    [values[d] for d in node.fanin]
+                )
+            elif node.kind != "input":
+                values[name] = np.full(
+                    n_entries, node.kind == "const1", dtype=block.dtype
+                )
         return {o: values[o] for o in self._outputs}
 
     def evaluate_batch(self, assignments_batch):
-        """Vectorised :meth:`evaluate` over many assignments.
+        """Vectorised :meth:`evaluate`: ``{output name: list of bits}``
+        over a sequence of ``{input name: bit}`` mappings."""
+        outputs = self.evaluate_block(self.input_block(assignments_batch))
+        return {name: bits.tolist() for name, bits in outputs.items()}
 
-        ``assignments_batch`` is a sequence of ``{input name: bit}``
-        mappings; every node evaluates once as a whole-array operation
-        over the batch.  Returns ``{output name: list of bits}`` whose
-        entry ``i`` equals ``evaluate(assignments_batch[i])``.  This is
-        the Boolean reference of the physical circuit engine.
-        """
-        assignments_batch = list(assignments_batch)
-        if not assignments_batch:
-            raise NetlistError("no assignments supplied")
-        n_sets = len(assignments_batch)
-        values = {}
-        for name in self.topological_order():
-            node = self._graph.nodes[name]["node"]
-            if node.kind == "input":
-                try:
-                    column = [a[name] for a in assignments_batch]
-                except KeyError:
-                    raise NetlistError(
-                        f"no value supplied for input {name!r}"
-                    ) from None
-                array = np.asarray(
-                    [validate_bit(b) for b in column], dtype=np.int64
-                )
-                values[name] = array
-            elif node.kind == "const0":
-                values[name] = np.zeros(n_sets, dtype=np.int64)
-            elif node.kind == "const1":
-                values[name] = np.ones(n_sets, dtype=np.int64)
-            else:
-                fanin = [values[d] for d in node.fanin]
-                values[name] = _BATCH_OPERATIONS[node.kind](fanin)
-        missing = [o for o in self._outputs if o not in values]
-        if missing:
-            raise NetlistError(f"outputs {missing!r} were never computed")
-        return {o: values[o].tolist() for o in self._outputs}
+    def signature(self):
+        """SHA-256 content hash of the DAG and outputs, memoised under
+        ``(topology revision, outputs)`` (see
+        :func:`~repro.circuits.compiled.netlist_signature`)."""
+        key = (self._revision, tuple(self._outputs))
+        if self._signature is None or self._signature[0] != key:
+            text = "".join(
+                repr((node.name, node.kind, node.fanin))
+                for _, node in sorted(self._nodes.items())
+            )
+            digest = hashlib.sha256((text + repr(key[1])).encode())
+            self._signature = (key, digest.hexdigest())
+        return self._signature[1]
 
     def depth(self):
         """Logic depth in cell levels (inputs/constants are level 0)."""
-        levels = self._topology()[1]
+        levels = self._topology().levels
         if not self._outputs:
             return max(levels.values(), default=0)
         return max(levels[o] for o in self._outputs)
 
     def critical_path(self):
         """One deepest input-to-output node path (list of names)."""
-        _, levels, parents, _ = self._topology()
+        topology = self._topology()
+        levels, parents = topology.levels, topology.parents
         if not levels:
             return []
         terminals = self._outputs or list(levels)
@@ -351,10 +404,6 @@ class Netlist:
         while parents[path[-1]] is not None:
             path.append(parents[path[-1]])
         return list(reversed(path))
-
-    def graph(self):
-        """A copy of the underlying networkx DiGraph."""
-        return self._graph.copy()
 
     # ------------------------------------------------------------------
     # Wire format
@@ -377,17 +426,13 @@ class Netlist:
         >>> clone.evaluate({"a": 0})
         {'na': 1}
         """
-        nodes = []
-        for name in self._graph.nodes:
-            node = self._graph.nodes[name]["node"]
-            nodes.append({
-                "name": node.name,
-                "kind": node.kind,
-                "fanin": list(node.fanin),
-            })
         return {
             "name": self.name,
-            "nodes": nodes,
+            "nodes": [
+                {"name": node.name, "kind": node.kind,
+                 "fanin": list(node.fanin)}
+                for node in self._nodes.values()
+            ],
             "outputs": list(self._outputs),
         }
 

@@ -64,6 +64,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "swgate-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on keep-alive
+    # connections.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Access logging lands in the metrics registry, not stderr.

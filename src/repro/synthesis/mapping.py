@@ -119,10 +119,9 @@ def physical_depth(netlist):
     :meth:`~repro.circuits.netlist.Netlist.depth` counts every
     scheduled level.
     """
-    graph = netlist.graph()
     depth = {}
     for name in netlist.topological_order():
-        node = graph.nodes[name]["node"]
+        node = netlist.node(name)
         if node.kind in ("input", "const0", "const1"):
             depth[name] = 0
             continue

@@ -194,6 +194,16 @@ class TestErrorMapping:
         with pytest.raises(SimulationError, match="dead"):
             client.run(xor_pair("dead"), BATCH)
 
+    def test_invalid_bit_is_http_400_encoding_error(self, client):
+        from repro.serve import protocol
+
+        payload = protocol.encode_run_request(
+            xor_pair("half"), [{"a": 0, "b": 0.5, "c": 1}]
+        )
+        status, body = client._request("POST", "/v1/run", payload)
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "EncodingError"
+
     def test_invalid_json_body_is_http_400(self, client):
         import urllib.request
 
@@ -213,6 +223,46 @@ class TestErrorMapping:
         assert status == 404
         status, _ = client._request("POST", "/v2/run", {})
         assert status == 404
+
+
+class TestKeepAlive:
+    def test_sequential_requests_on_one_connection_do_not_stall(
+        self, server
+    ):
+        """Regression: headers and body leave in two writes, and with
+        Nagle on every keep-alive response waited ~40 ms for the
+        client's delayed ACK."""
+        import http.client
+        import statistics
+        import time
+        from urllib.parse import urlsplit
+
+        from repro.serve import protocol
+
+        body = json.dumps(protocol.encode_run_request(
+            ripple_carry_adder(4),
+            [{name: 1 for name in ripple_carry_adder(4).inputs}] * 8,
+        ))
+        url = urlsplit(server.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port,
+                                                timeout=10)
+        latencies = []
+        try:
+            for _ in range(6):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/run", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        # The first request compiles; the five after it reuse the
+        # connection.
+        assert statistics.median(latencies[1:]) < 0.02
 
 
 class TestIntrospection:
