@@ -108,8 +108,9 @@ def netlist_signature(netlist):
     """Canonical content hash of a netlist's DAG and output list.
 
     Two netlists with equal signatures have identical node names, kinds,
-    fanin wiring and output registrations -- a compiled artifact of one
-    executes the other bit-identically.  This is the compile-cache key
+    fanin wiring, input order and output registrations -- a compiled
+    artifact of one executes the other bit-identically, with the same
+    :meth:`~repro.circuits.netlist.Netlist.input_block` row layout.  This is the compile-cache key
     (:class:`CompiledCircuitCache`) and the coalescing key of the
     :class:`~repro.circuits.executor.CircuitExecutor`.  Output edits
     (:meth:`~repro.circuits.netlist.Netlist.mark_output`) change the

@@ -47,19 +47,9 @@ import numpy as np
 from repro.core.encoding import validate_bit
 from repro.errors import NetlistError
 
-#: Supported cell operations and their evaluators.
+#: Supported cell operations and their evaluators: each maps the fanin
+#: bits -- 0/1 ints, or (n,) 0/1 arrays -- to the output bit(s).
 _OPERATIONS = {
-    "MAJ3": lambda bits: int(sum(bits) >= 2),
-    "INV": lambda bits: 1 - bits[0],
-    "XOR2": lambda bits: bits[0] ^ bits[1],
-    "BUF": lambda bits: bits[0],
-}
-
-_ARITY = {"MAJ3": 3, "INV": 1, "XOR2": 2, "BUF": 1}
-
-#: Array-native evaluators: each maps a list of (n,) 0/1 arrays (one per
-#: fanin) to the (n,) output array -- the vectorised twin of _OPERATIONS.
-_BLOCK_OPERATIONS = {
     "MAJ3": lambda bits: (
         (bits[0] & bits[1]) | (bits[0] & bits[2]) | (bits[1] & bits[2])
     ),
@@ -67,6 +57,8 @@ _BLOCK_OPERATIONS = {
     "XOR2": lambda bits: bits[0] ^ bits[1],
     "BUF": lambda bits: bits[0],
 }
+
+_ARITY = {"MAJ3": 3, "INV": 1, "XOR2": 2, "BUF": 1}
 
 #: Bits that skip the per-element validate_bit check.
 _BIT_TYPES = frozenset((bool, int, float))
@@ -154,7 +146,11 @@ class Netlist:
                 f"got {len(fanin)}"
             )
         for driver in fanin:
-            if driver not in self._nodes:
+            try:
+                known = driver in self._nodes
+            except TypeError:  # unhashable, e.g. a list from a wire payload
+                known = False
+            if not known:
                 raise NetlistError(f"fanin node {driver!r} does not exist")
         return self._add(Node(name, operation, fanin))
 
@@ -355,8 +351,8 @@ class Netlist:
         values = dict(zip(self._inputs, block))
         n_entries = block.shape[1]
         for name, node in self._nodes.items():
-            if node.kind in _BLOCK_OPERATIONS:
-                values[name] = _BLOCK_OPERATIONS[node.kind](
+            if node.kind in _OPERATIONS:
+                values[name] = _OPERATIONS[node.kind](
                     [values[d] for d in node.fanin]
                 )
             elif node.kind != "input":
@@ -372,16 +368,21 @@ class Netlist:
         return {name: bits.tolist() for name, bits in outputs.items()}
 
     def signature(self):
-        """SHA-256 content hash of the DAG and outputs, memoised under
-        ``(topology revision, outputs)`` (see
-        :func:`~repro.circuits.compiled.netlist_signature`)."""
+        """SHA-256 content hash of the DAG, input order and outputs,
+        memoised under ``(topology revision, outputs)`` (see
+        :func:`~repro.circuits.compiled.netlist_signature`).
+
+        The input order is hashed because :meth:`input_block` rows
+        follow it: equal signatures must mean equal block layouts.
+        """
         key = (self._revision, tuple(self._outputs))
         if self._signature is None or self._signature[0] != key:
             text = "".join(
                 repr((node.name, node.kind, node.fanin))
                 for _, node in sorted(self._nodes.items())
             )
-            digest = hashlib.sha256((text + repr(key[1])).encode())
+            text += repr(tuple(self._inputs)) + repr(key[1])
+            digest = hashlib.sha256(text.encode())
             self._signature = (key, digest.hexdigest())
         return self._signature[1]
 
@@ -441,8 +442,8 @@ class Netlist:
         """Rebuild a netlist from :meth:`to_dict` output.
 
         Every node re-enters through the validating ``add_*``
-        constructors, so malformed payloads (unknown kinds, missing
-        fanin, cycles) raise :class:`~repro.errors.NetlistError` rather
+        constructors, so malformed payloads (unknown kinds, missing or
+        malformed fanin) raise :class:`~repro.errors.NetlistError` rather
         than building a corrupt DAG.
         """
         if not isinstance(payload, dict):
@@ -465,7 +466,10 @@ class Netlist:
             elif kind in ("const0", "const1"):
                 netlist.add_const(name, int(kind[-1]))
             elif kind in _OPERATIONS:
-                netlist.add_cell(name, kind, tuple(entry.get("fanin", ())))
+                fanin = entry.get("fanin", ())
+                if not isinstance(fanin, (list, tuple)):
+                    raise NetlistError(f"fanin of {name!r} must be a list")
+                netlist.add_cell(name, kind, fanin)
             else:
                 raise NetlistError(
                     f"unknown node kind {kind!r} for node {name!r}"

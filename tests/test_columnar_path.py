@@ -285,6 +285,65 @@ def test_wire_round_trip_keeps_schedule_and_signature(netlist):
     assert netlist_signature(clone) == netlist_signature(netlist)
 
 
+def _inputs_reversed(netlist):
+    """An equal netlist whose inputs were added in reverse order."""
+    payload = netlist.to_dict()
+    inputs = [e for e in payload["nodes"] if e["kind"] == "input"]
+    rest = [e for e in payload["nodes"] if e["kind"] != "input"]
+    payload["nodes"] = inputs[::-1] + rest
+    return Netlist.from_dict(payload)
+
+
+class TestInputOrder:
+    """Input-block rows follow ``Netlist.inputs``, so netlists whose
+    inputs were added in another order must never share a queue or an
+    artifact."""
+
+    def _check(self, netlist, result, batch):
+        assert result.correct
+        for output, bits in result.outputs.items():
+            assert bits == [netlist.evaluate(a)[output] for a in batch]
+
+    def test_signature_covers_input_order(self):
+        netlist = ripple_carry_adder(4)
+        flipped = _inputs_reversed(netlist)
+        assert flipped.inputs == netlist.inputs[::-1]
+        assert netlist_signature(flipped) != netlist_signature(netlist)
+
+    def test_one_executor_runs_both_orders_bit_exact(self):
+        rng = np.random.default_rng(3)
+        netlist = ripple_carry_adder(4)
+        flipped = _inputs_reversed(netlist)
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        tickets = []
+        for circuit in (flipped, netlist, flipped):
+            batch = [
+                {name: int(rng.integers(2)) for name in circuit.inputs}
+                for _ in range(5)
+            ]
+            tickets.append(
+                (circuit, batch, executor.submit(circuit, batch))
+            )
+        executor.flush()
+        for circuit, batch, ticket in tickets:
+            self._check(circuit, ticket.result(), batch)
+
+    def test_warmed_artifact_is_not_served_to_other_order(self, tmp_path):
+        netlist = ripple_carry_adder(4)
+        flipped = _inputs_reversed(netlist)
+        executor = CircuitExecutor(n_bits=N_BITS)
+        path = compile_circuit(netlist, executor.bindings).save(
+            tmp_path / "rca4.ccz"
+        )
+        executor.cache.warm([path], executor.bindings)
+        batch = [
+            {name: int(name in ("a0", "a2", "b1")) for name in flipped.inputs}
+        ]
+        self._check(flipped, executor.run(flipped, batch), batch)
+        self._check(netlist, executor.run(netlist, batch), batch)
+        assert executor.cache.misses == 1
+
+
 def test_topological_order_is_kahn_by_generation():
     """Sources in insertion order, then each generation in fanout order."""
     netlist = Netlist("order")

@@ -204,6 +204,18 @@ class TestErrorMapping:
         assert status == 400
         assert json.loads(body)["error"]["type"] == "EncodingError"
 
+    @pytest.mark.parametrize("fanin", [[["a"], "b"], "ab", 5])
+    def test_malformed_fanin_is_http_400(self, client, fanin):
+        from repro.serve import protocol
+
+        payload = protocol.encode_run_request(xor_pair("fanin"), BATCH)
+        for entry in payload["netlist"]["nodes"]:
+            if entry["name"] == "x":
+                entry["fanin"] = fanin
+        status, body = client._request("POST", "/v1/run", payload)
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "NetlistError"
+
     def test_invalid_json_body_is_http_400(self, client):
         import urllib.request
 
@@ -231,7 +243,8 @@ class TestKeepAlive:
     ):
         """Regression: headers and body leave in two writes, and with
         Nagle on every keep-alive response waited ~40 ms for the
-        client's delayed ACK."""
+        client's delayed ACK.  Compared against fresh connections timed
+        in the same test, so a loaded host slows both sides alike."""
         import http.client
         import statistics
         import time
@@ -244,25 +257,39 @@ class TestKeepAlive:
             [{name: 1 for name in ripple_carry_adder(4).inputs}] * 8,
         ))
         url = urlsplit(server.url)
-        connection = http.client.HTTPConnection(url.hostname, url.port,
-                                                timeout=10)
-        latencies = []
+
+        def connect():
+            return http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10)
+
+        def timed_post(connection):
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/v1/run", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            return time.perf_counter() - started
+
+        fresh = []
+        for _ in range(5):
+            connection = connect()
+            try:
+                fresh.append(timed_post(connection))
+            finally:
+                connection.close()
+        connection = connect()
         try:
-            for _ in range(6):
-                started = time.perf_counter()
-                connection.request(
-                    "POST", "/v1/run", body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                assert response.status == 200
-                response.read()
-                latencies.append(time.perf_counter() - started)
+            # The first request opens the connection; the five after
+            # it reuse it.
+            timed_post(connection)
+            kept = [timed_post(connection) for _ in range(5)]
         finally:
             connection.close()
-        # The first request compiles; the five after it reuse the
-        # connection.
-        assert statistics.median(latencies[1:]) < 0.02
+        # The stall is >= 40 ms per response; allow well under that.
+        assert statistics.median(kept) < statistics.median(fresh) + 0.025
 
 
 class TestIntrospection:
