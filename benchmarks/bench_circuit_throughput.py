@@ -1,15 +1,12 @@
-"""Bench: packed vs per-op vs scalar circuit execution.
+"""Bench: packed vs scalar circuit execution.
 
 A synthesized ripple-carry adder is compiled by the physical circuit
-engine and evaluated on a batch of word groups three ways:
+engine and evaluated on a batch of word groups two ways:
 
 * scalar cascade (``mode="scalar"``) -- :meth:`CircuitEngine.run_scalar`,
   the ``GateCascade``-style reference: one ``run_phasor`` call per
   (cell, word group);
-* per-op batched (``mode="per-op"``) -- ``run(packed=False)``: per
-  level, all (cell, group) pairs of one operation kind evaluate as a
-  single ``run_phasor_batch`` GEMM against cached propagation weights;
-* packed (``mode="packed"``) -- ``run()``, the compile-once default:
+* packed (``mode="packed"``) -- ``run()``, the compile-once fast path:
   the frozen :class:`~repro.circuits.compiled.CompiledCircuit` artifact
   executes every physical cell of a level -- MAJ3 and XOR2 alike -- as
   ONE GEMM against block-stacked weights into preallocated buffers.
@@ -121,13 +118,6 @@ def test_engine_packed_throughput(benchmark, adder_setup):
     benchmark.extra_info["metrics"] = _run_metrics(
         lambda: engine.run(batch)
     )
-
-
-def test_engine_per_op_throughput(benchmark, adder_setup):
-    engine, netlist, batch = adder_setup
-    result = benchmark(engine.run, batch, packed=False)
-    assert result.correct
-    _record(benchmark, engine, netlist, batch, "per-op")
 
 
 def test_engine_compile_and_run_throughput(benchmark, adder_setup):

@@ -1,10 +1,10 @@
-"""Compile-once circuit execution: frozen packed artifacts (PR 6).
+"""Compile-once circuit execution: frozen packed artifacts.
 
-The per-op batched engine path (:meth:`CircuitEngine._execute`) rebuilds
-its value dictionaries, regeneration buffers and per-(cell, group) word
-lists on *every* run, and issues one phasor GEMM per (level, operation).
 This module compiles a netlist **once** into a :class:`CompiledCircuit`
-artifact and executes batches against it:
+artifact -- the fast path behind :meth:`CircuitEngine.run
+<repro.circuits.engine.CircuitEngine.run>` and the coalescing
+:class:`~repro.circuits.executor.CircuitExecutor` -- and executes word
+blocks against it:
 
 * an immutable level schedule with integer *slot* tables (every node is
   a row of one preallocated ``(n_slots, padded)`` value buffer -- no
@@ -22,28 +22,33 @@ artifact and executes batches against it:
   exactly like :class:`~repro.core.faults.FaultySimulator`'s inherited
   calibration path).
 
-Semantics are pinned to the per-op path: identical noise seeds (one
-derived model per (cell, group)), identical fault mutation order
+Every execution is one padded block of one or more *tenants* (a
+request's input block, noise template and fault map) assembled by
+:meth:`CompiledCircuit.execute_block`: :meth:`CompiledCircuit.run` is a
+one-tenant block, an executor flush a many-tenant one.  Semantics are
+pinned to the scalar reference :meth:`CircuitEngine.run_scalar
+<repro.circuits.engine.CircuitEngine.run_scalar>`: identical noise seeds
+(one derived model per (cell, group)), identical fault mutation order
 (noise first, then the victim column), identical dead-decode marking
 and strict-mode error messages.  Phasor bits are exact and margins
 agree to ~1e-15 (the only difference is BLAS reassociation over the
-packed k-dimension); trace mode reuses
-:meth:`~repro.core.simulate.GateSimulator.run_batch` on ndarray
-gathers, so it shares the time-domain physics verbatim.
-``tests/test_circuit_conformance.py`` pins both modes against
-:meth:`CircuitEngine.run_scalar` to <= 1e-12.
+packed k-dimension); trace mode feeds
+:meth:`~repro.core.simulate.GateSimulator.run_batch` from ndarray
+gathers with per-row noise models, so it shares the time-domain physics
+verbatim -- placement noise included.  Phasor-mode placement noise is
+the one configuration the artifact refuses: its GEMM bakes nominal
+weights in.  ``tests/test_circuit_conformance.py`` pins both modes
+against the scalar reference to <= 1e-12.
 
-Artifacts key on :func:`netlist_signature` (a content hash of the DAG
-plus outputs) -- :class:`CompiledCircuitCache` is the LRU compile cache
-the coalescing :class:`~repro.circuits.executor.CircuitExecutor` serves
-many circuits from.  :func:`physics_pristine` guards the whole layer:
-when any simulator hook has been replaced (subclassing experiments,
-monkeypatched tests), the engine falls back to the per-op path whose
-hooks still fire.
+Artifacts live in process memory only and key on
+:func:`netlist_signature` (a content hash of the DAG plus outputs) --
+:class:`CompiledCircuitCache` is the LRU compile cache the coalescing
+executor serves many circuits from; a daemon warm-starts it by
+compiling :class:`~repro.circuits.netlist.Netlist` objects up front
+(:meth:`CompiledCircuitCache.warm`).
 """
 
 import math
-import pickle
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -60,48 +65,10 @@ from repro.circuits.engine import (
     normalise_faults,
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
-from repro.core.faults import FaultySimulator
+from repro.circuits.netlist import Netlist
 from repro.core.readout import decode_phasor_block
-from repro.core.simulate import GateSimulator
-from repro.errors import ArtifactError, NetlistError, SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.waveguide.linear_model import LinearWaveguideModel
-
-# ----------------------------------------------------------------------
-# Physics pristineness: the packed path bakes the *current* simulator
-# semantics in at compile time.  If any of these hooks is later replaced
-# (a subclass experiment assigned onto the class, a monkeypatched test),
-# the baked artifact would silently skip the override -- so the engine
-# checks this snapshot and falls back to the per-op path, where every
-# hook still fires.
-# ----------------------------------------------------------------------
-_PRISTINE_HOOKS = (
-    (GateSimulator, "build_sources"),
-    (GateSimulator, "build_source_bank"),
-    (GateSimulator, "mutate_source_bank"),
-    (GateSimulator, "run_phasor_batch"),
-    (GateSimulator, "run_batch"),
-    (GateSimulator, "calibration"),
-    (FaultySimulator, "build_sources"),
-    (FaultySimulator, "mutate_source_bank"),
-)
-_PRISTINE_SNAPSHOT = tuple(
-    klass.__dict__.get(name) for klass, name in _PRISTINE_HOOKS
-)
-
-
-def physics_pristine():
-    """True when the simulator hooks the packed path bakes in are intact.
-
-    Compared by identity against an import-time snapshot of the class
-    dictionaries, so both monkeypatching and class-level reassignment
-    are detected (instance-level and subclass overrides never reach the
-    packed path: the artifact builds its own simulators from
-    :class:`~repro.circuits.library.GateBindings`).
-    """
-    return all(
-        klass.__dict__.get(name) is func
-        for (klass, name), func in zip(_PRISTINE_HOOKS, _PRISTINE_SNAPSHOT)
-    )
 
 
 def netlist_signature(netlist):
@@ -117,8 +84,7 @@ def netlist_signature(netlist):
     signature even though they do not bump the topology revision --
     caches keyed here never serve stale output lists.
 
-    Memoised on the netlist until an ``add_*`` or output edit; never
-    pickled.
+    Memoised on the netlist until an ``add_*`` or output edit.
     """
     return netlist.signature()
 
@@ -196,15 +162,15 @@ class CompiledCircuit:
     Built by :func:`compile_circuit` through four staged passes --
     levelise, allocate slots, pack levels, calibrate -- and then
     executed any number of times via :meth:`run` (or, coalesced across
-    requests, via the internal padded entry points the
+    requests, via :meth:`execute_block`, which the
     :class:`~repro.circuits.executor.CircuitExecutor` drives).  The
     schedule, slot tables and packed weight matrices never change after
     compilation; per-run scratch (value/excitation buffers, the failed
     mask) is preallocated per batch shape and reused.
 
     ``packable`` is False when some operation's calibration fails (the
-    physics cannot produce a reference) -- the engine then falls back to
-    the per-op path, which raises the same error lazily.
+    physics cannot produce a reference) -- callers then run the scalar
+    reference, which raises the same error lazily.
     """
 
     def __init__(self, netlist, bindings, registry=None):
@@ -218,8 +184,7 @@ class CompiledCircuit:
         # Compile spans/counters go to the caller's registry when given
         # (the executor's compile cache passes its private one, so
         # handler-thread compiles never touch the process-global span
-        # stack); the registry is a local -- never stored on the
-        # artifact, which must stay picklable.
+        # stack).
         registry = obs.get_registry() if registry is None else registry
         started = time.perf_counter()
         with registry.span("compile_circuit"):
@@ -231,9 +196,8 @@ class CompiledCircuit:
                 self._stage_pack_levels()
             with registry.span("calibrate"):
                 self._stage_calibrate()
-        # Compile cost travels with the artifact (it is part of the
-        # compile-time product, pickled into saved artifacts): request
-        # traces report it so a cache-miss request explains its latency.
+        # Compile cost travels with the artifact: request traces report
+        # it so a cache-miss request explains its latency.
         self.compile_seconds = time.perf_counter() - started
         registry.inc("circuit.compiles")
         # Per-shape run scratch, grown lazily and reused across runs.
@@ -328,8 +292,8 @@ class CompiledCircuit:
         Skipped entirely for purely virtual netlists, so compiling and
         running them touches no physics (the engine's lazily-built model
         stays unbuilt).  A calibration failure marks the artifact
-        unpackable instead of raising: the per-op path reproduces the
-        error lazily, at the moment the legacy semantics would.
+        unpackable instead of raising: the scalar reference reproduces
+        the error lazily, at the moment its semantics would.
         """
         if not self.has_physical:
             return
@@ -359,8 +323,8 @@ class CompiledCircuit:
                  op.amp_row, op.amplitude_readout) = tables[op.operation]
         # Cross-op packing: one block-diagonal weight matrix per level
         # (memoised per operation combination -- levels sharing a combo
-        # share one matrix).  Single-op levels use the per-op weights
-        # directly, so their GEMM is bit-identical to the per-op path.
+        # share one matrix).  Single-op levels use the operation's
+        # weights directly.
         stack_memo = {}
         n_bits = self.n_bits
         for plan in self.levels:
@@ -440,7 +404,7 @@ class CompiledCircuit:
         calibration path builds the zero-word bank and mutates it), so a
         fault that silences the all-zeros reference -- e.g. stuck-phase-1
         on an XOR2 input -- yields None here and every row of that cell
-        decodes dead, exactly like the per-op path's batch-wide
+        decodes dead, exactly like the scalar reference's per-entry
         calibration failure.
         """
         key = (operation, fault)
@@ -451,13 +415,6 @@ class CompiledCircuit:
             except SimulationError:
                 self._faulty_cal[key] = None
         return self._faulty_cal[key]
-
-    def _write_block(self, buf, block, start, end):
-        """Write one request's input block into columns ``start:end``
-        (zeroing the padding tail: the buffer is reused)."""
-        stop = start + block.shape[1]
-        buf[self._input_slots, start:stop] = block
-        buf[self._input_slots, stop:end] = 0
 
     @staticmethod
     def _derived_noise(context, physical_index):
@@ -477,8 +434,44 @@ class CompiledCircuit:
         )
 
     # ------------------------------------------------------------------
-    # Padded execution (shared by run() and the coalescing executor)
+    # Block execution (shared by run() and the coalescing executor)
     # ------------------------------------------------------------------
+    def execute_block(self, tenants, mode, registry=None):
+        """Run ``tenants`` side by side as one padded block.
+
+        ``tenants`` is a sequence of ``(input block, noise template,
+        fault map)`` triples, one per request: the
+        :meth:`~repro.circuits.netlist.Netlist.input_block` block and
+        the :func:`~repro.circuits.engine.normalise_faults` map.  Every
+        tenant owns ``ceil(n_entries / n_bits)`` word groups with
+        request-relative noise contexts, so it draws exactly the
+        realisations it would draw alone.  Never raises for dead decodes
+        (see :meth:`_execute_padded`).  Returns ``(run, spans)``: the
+        packed run and each tenant's ``(group_start, group_end)``.
+        """
+        n_bits = self.n_bits
+        contexts, group_faults, n_valid, spans = [], [], [], []
+        for block, noise, fault_map in tenants:
+            n_entries = block.shape[1]
+            n_groups = -(-n_entries // n_bits)
+            spans.append((len(n_valid), len(n_valid) + n_groups))
+            for group in range(n_groups):
+                contexts.append((noise, n_groups, group))
+                group_faults.append(fault_map)
+                n_valid.append(min(n_entries - group * n_bits, n_bits))
+        n_groups = len(n_valid)
+        buf, failed = self._buffers(n_groups * n_bits)
+        for (block, _, _), (start, end) in zip(tenants, spans):
+            # The buffer is reused: zero each tenant's padding tail.
+            stop = start * n_bits + block.shape[1]
+            buf[self._input_slots, start * n_bits : stop] = block
+            buf[self._input_slots, stop : end * n_bits] = 0
+        packed = self._execute_padded(
+            buf, failed, n_groups, n_valid, contexts, group_faults, mode,
+            registry,
+        )
+        return packed, spans
+
     def _execute_padded(self, buf, failed, n_groups, n_valid, contexts,
                         group_faults, mode, registry=None):
         """Execute every level over ``n_groups`` padded word groups.
@@ -673,7 +666,8 @@ class CompiledCircuit:
         instead each operation's (cell, group) rows partition by fault
         and run through the array-native
         :meth:`~repro.core.simulate.GateSimulator.run_batch` -- the same
-        physics as the per-op path, fed straight from the value buffer.
+        physics as the scalar reference, fed straight from the value
+        buffer with one noise model per row (placement noise included).
         """
         n_bits = self.n_bits
         for op_index, op in enumerate(plan.ops):
@@ -747,9 +741,9 @@ class CompiledCircuit:
     def _first_dead(self, packed, group_start, group_end):
         """The strict-mode error of a request's group span, or None.
 
-        Picks the first dead decode in the per-op path's iteration order
-        (level, sorted op, nominal-before-faulted, schedule position,
-        group) so strict mode raises the identical message.
+        Picks the first dead decode in the scalar reference's iteration
+        order (level, sorted op, nominal-before-faulted, schedule
+        position, group) so strict mode raises the identical message.
         """
         worst = None
         for level, op_index, is_faulted, cell_index, group, name in (
@@ -850,13 +844,14 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     def run(self, assignments_batch, faults=(), noise=None, strict=True,
             mode="phasor"):
-        """Evaluate a batch against the compiled artifact.
+        """Evaluate a batch as a one-tenant block of the artifact.
 
-        Same contract as :meth:`CircuitEngine.run` (which routes here by
-        default); raises for configurations the artifact cannot
-        reproduce bit-identically -- the engine's ``_run_packed`` guard
-        catches those *before* calling, so direct callers see a clear
-        error rather than silently divergent physics.
+        Same contract as :meth:`CircuitEngine.run`, which routes here
+        whenever the artifact can run the configuration.  Raises
+        :class:`~repro.errors.SimulationError` for the two it cannot: an
+        unpackable artifact, and placement noise in phasor mode (the
+        packed GEMM bakes nominal weights in) -- the engine runs both
+        through :meth:`CircuitEngine.run_scalar` instead.
         """
         check_mode(mode)
         if not self.packable:
@@ -864,152 +859,24 @@ class CompiledCircuit:
                 f"netlist {self.netlist.name!r} is not packable: "
                 f"{self.unpackable_reason}"
             )
-        if noise is not None and noise.position_sigma > 0:
+        placed = noise is not None and noise.position_sigma > 0
+        if placed and mode == "phasor":
             raise SimulationError(
                 "per-entry placement noise perturbs the source geometry; "
-                "the packed path bakes nominal weights in -- use "
-                "CircuitEngine.run(packed=False)"
+                "the packed phasor path bakes nominal weights in -- use "
+                "CircuitEngine.run or run_scalar"
             )
         block = self.netlist.input_block(assignments_batch)
-        fault_map = normalise_faults(self.netlist, faults)
-        n_bits = self.n_bits
-        n_entries = block.shape[1]
-        n_groups = -(-n_entries // n_bits)
-        padded = n_groups * n_bits
-        buf, failed = self._buffers(padded)
-        self._write_block(buf, block, 0, padded)
-        n_valid = [
-            min(n_entries - group * n_bits, n_bits)
-            for group in range(n_groups)
-        ]
-        contexts = [(noise, n_groups, group) for group in range(n_groups)]
-        group_faults = [fault_map] * n_groups
-        packed = self._execute_padded(
-            buf, failed, n_groups, n_valid, contexts, group_faults, mode
-        )
+        tenant = (block, noise, normalise_faults(self.netlist, faults))
+        packed, ((start, end),) = self.execute_block([tenant], mode)
         if strict:
-            error = self._first_dead(packed, 0, n_groups)
+            error = self._first_dead(packed, start, end)
             if error is not None:
                 raise error
         return self._build_result(
-            packed, self.netlist, 0, n_groups, n_entries,
+            packed, self.netlist, start, end, block.shape[1],
             self.netlist.evaluate_block(block), faults, mode,
         )
-
-    # ------------------------------------------------------------------
-    # Artifact serialization
-    # ------------------------------------------------------------------
-    def save(self, path):
-        """Serialise the frozen artifact to ``path`` (pickle payload).
-
-        Only the compile-time product is written -- the netlist, level
-        schedule, slot tables, packed weights and baked calibration --
-        plus the identity envelope a loader verifies (format version,
-        content-hash signature, ``n_bits``, backend key).  Per-process
-        runtime state (the bindings, lazily-grown buffers and faulty
-        simulators) is deliberately excluded: :meth:`load` re-attaches
-        fresh bindings and rebuilds scratch lazily.  This is the fleet
-        warm-start path: workers load artifacts instead of paying
-        compile + calibration (:meth:`CompiledCircuitCache.warm`).
-        """
-        state = {
-            "format": ARTIFACT_FORMAT,
-            "signature": self.signature,
-            "n_bits": self.n_bits,
-            "backend_key": tuple(self.bindings.backend.key),
-            "attrs": {
-                name: value for name, value in self.__dict__.items()
-                if name not in _RUNTIME_ATTRS
-            },
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
-        obs.get_registry().inc("circuit.artifact_saves")
-        return path
-
-    @classmethod
-    def load(cls, path, bindings):
-        """Load a saved artifact and attach it to ``bindings``.
-
-        Refuses -- with :class:`~repro.errors.ArtifactError` -- anything
-        that cannot be served safely: an unknown format version, a
-        backend/precision mismatch (the artifact bakes weights in its
-        backend's dtype), a data-width mismatch, and a stale or
-        tampered topology (the embedded netlist's recomputed content
-        hash must equal the signature the artifact was saved under).
-        """
-        try:
-            with open(path, "rb") as handle:
-                state = pickle.load(handle)
-        except ArtifactError:
-            raise
-        except Exception as exc:
-            raise ArtifactError(
-                f"cannot read compiled artifact {str(path)!r}: {exc}"
-            ) from exc
-        if not isinstance(state, dict) or "attrs" not in state:
-            raise ArtifactError(
-                f"{str(path)!r} is not a compiled-circuit artifact"
-            )
-        if state.get("format") != ARTIFACT_FORMAT:
-            raise ArtifactError(
-                f"artifact {str(path)!r} has format "
-                f"{state.get('format')!r}; this build reads format "
-                f"{ARTIFACT_FORMAT}"
-            )
-        backend_key = tuple(state.get("backend_key", ()))
-        if backend_key != tuple(bindings.backend.key):
-            raise ArtifactError(
-                f"artifact {str(path)!r} was compiled for backend "
-                f"{backend_key!r} but these bindings use "
-                f"{tuple(bindings.backend.key)!r}; a wrong-precision "
-                "artifact must never be served"
-            )
-        if state.get("n_bits") != bindings.n_bits:
-            raise ArtifactError(
-                f"artifact {str(path)!r} was compiled at n_bits="
-                f"{state.get('n_bits')!r}, bindings have "
-                f"n_bits={bindings.n_bits}"
-            )
-        attrs = state["attrs"]
-        netlist = attrs.get("netlist")
-        signature = state.get("signature")
-        if (
-            netlist is None
-            or attrs.get("signature") != signature
-            or netlist_signature(netlist) != signature
-        ):
-            raise ArtifactError(
-                f"artifact {str(path)!r} failed content-hash "
-                "verification: its topology is stale or the payload "
-                "was tampered with -- recompile instead of loading"
-            )
-        artifact = cls.__new__(cls)
-        artifact.__dict__.update(attrs)
-        # Artifacts saved before compile cost travelled in the payload
-        # still load; they simply report an unknown (zero) compile time.
-        artifact.__dict__.setdefault("compile_seconds", 0.0)
-        artifact.bindings = bindings
-        artifact._value_buffers = {}
-        artifact._failed_buffers = {}
-        artifact._excite_buffers = {}
-        artifact._faulty_sims = {}
-        artifact._faulty_cal = {}
-        obs.get_registry().inc("circuit.artifact_loads")
-        return artifact
-
-
-#: On-disk artifact format version; :meth:`CompiledCircuit.load`
-#: refuses snapshots written by an incompatible layout.
-ARTIFACT_FORMAT = 2
-
-#: Per-process runtime state excluded from saved artifacts: bindings
-#: are re-attached on load, scratch buffers and faulty-simulator
-#: caches regrow lazily.
-_RUNTIME_ATTRS = frozenset((
-    "bindings", "_value_buffers", "_failed_buffers", "_excite_buffers",
-    "_faulty_sims", "_faulty_cal",
-))
 
 
 def compile_circuit(netlist, bindings, registry=None):
@@ -1081,46 +948,56 @@ class CompiledCircuitCache:
         weights and buffers in the backend dtype, so a float32 artifact
         must never be served to a float64 caller (or vice versa).
         """
-        key = (netlist_signature(netlist), bindings.n_bits,
-               bindings.backend.key)
+        key = self._key(netlist, bindings)
         artifact = self._entries.get(key)
         if artifact is not None:
             self._entries.move_to_end(key)
             self.obs.inc("compile_cache.hits")
             return artifact
         self.obs.inc("compile_cache.misses")
-        artifact = compile_circuit(netlist, bindings, registry=self.obs)
+        return self._insert(key, compile_circuit(
+            netlist, bindings, registry=self.obs
+        ))
+
+    def warm(self, netlists, bindings):
+        """Compile ``netlists`` ahead of traffic so first requests hit.
+
+        Each :class:`~repro.circuits.netlist.Netlist` enters the LRU
+        under its own signature (already-cached ones are reused, not
+        recompiled); afterwards :meth:`get_or_compile` serves equal
+        netlists with zero misses.  Counts under ``compile_cache.warmed``
+        (not as hits or misses).  Anything that is not a ``Netlist``
+        raises :class:`~repro.errors.NetlistError`, leaving the netlists
+        before it cached.  Returns the artifacts.
+        """
+        artifacts = []
+        for netlist in netlists:
+            if not isinstance(netlist, Netlist):
+                raise NetlistError(
+                    "warm takes Netlist objects (load JSON through "
+                    f"Netlist.from_dict), got {type(netlist).__name__}"
+                )
+            key = self._key(netlist, bindings)
+            artifact = self._entries.get(key) or compile_circuit(
+                netlist, bindings, registry=self.obs
+            )
+            self.obs.inc("compile_cache.warmed")
+            artifacts.append(self._insert(key, artifact))
+        return artifacts
+
+    @staticmethod
+    def _key(netlist, bindings):
+        return (netlist_signature(netlist), bindings.n_bits,
+                bindings.backend.key)
+
+    def _insert(self, key, artifact):
+        """Store ``artifact`` as most recent, evicting past the bound."""
         self._entries[key] = artifact
+        self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.obs.inc("compile_cache.evictions")
         return artifact
-
-    def warm(self, paths, bindings):
-        """Preload saved artifacts so first requests hit, not compile.
-
-        Each path loads through :meth:`CompiledCircuit.load` (which
-        verifies format, content hash, width and backend key against
-        ``bindings``) and enters the LRU under its own signature --
-        afterwards :meth:`get_or_compile` serves those netlists with
-        zero misses, the fleet warm-start contract.  Loads count under
-        ``compile_cache.warmed`` (not as hits or misses); a failing
-        path raises :class:`~repro.errors.ArtifactError` and leaves
-        already-loaded artifacts cached.  Returns the loaded artifacts.
-        """
-        artifacts = []
-        for path in paths:
-            artifact = CompiledCircuit.load(path, bindings)
-            key = (artifact.signature, artifact.n_bits,
-                   bindings.backend.key)
-            self._entries[key] = artifact
-            self._entries.move_to_end(key)
-            self.obs.inc("compile_cache.warmed")
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.obs.inc("compile_cache.evictions")
-            artifacts.append(artifact)
-        return artifacts
 
     def clear(self):
         """Drop every cached artifact (hit/miss counters persist)."""

@@ -2,12 +2,10 @@
 
 This module closes the gap between the Boolean netlist layer
 (:class:`~repro.circuits.netlist.Netlist`) and the phasor-level physics
-backend: a :class:`CircuitEngine` compiles an arbitrary MAJ/XOR/INV DAG
-into the levelized schedule cached on the netlist, maps every physical
-cell operation to one shared data-parallel gate
-(:func:`~repro.circuits.library.physical_gate`), and executes whole
-input-assignment batches level by level through
-:meth:`~repro.core.simulate.GateSimulator.run_phasor_batch` -- the
+backend: a :class:`CircuitEngine` maps every physical cell operation of
+an arbitrary MAJ/XOR/INV DAG to one shared data-parallel gate
+(:func:`~repro.circuits.library.physical_gate`) and executes whole
+input-assignment batches level by level -- the
 :class:`~repro.core.cascade.GateCascade` regeneration semantics
 generalised to arbitrary wiring with fanout, constants and
 detector-placement inversion.
@@ -16,31 +14,37 @@ Execution model
 ---------------
 Each physical cell is an ``n_bits``-wide gate: channel ``c`` carries
 circuit instance ``c`` of a group, so a batch of ``B`` assignments packs
-into ``ceil(B / n_bits)`` word groups.  Within one level, every
-``(cell, group)`` pair of one operation evaluates as a single batched
-phasor call (one complex GEMM against the propagation weights cached on
-the engine's shared :class:`~repro.waveguide.LinearWaveguideModel`).
-Between levels the decoded word is re-excited at full amplitude --
-transduced regeneration, the robust cascade option of Section III -- so
-INV and BUF cells cost nothing: inversion is a detector-placement /
-re-excitation phase choice at the regeneration boundary, exactly the
-free-inverter rule the cell library prices.
+into ``ceil(B / n_bits)`` word groups.  Between levels the decoded word
+is re-excited at full amplitude -- transduced regeneration, the robust
+cascade option of Section III -- so INV and BUF cells cost nothing:
+inversion is a detector-placement / re-excitation phase choice at the
+regeneration boundary, exactly the free-inverter rule the cell library
+prices.
+
+A netlist runs one of two ways:
+
+* :meth:`CircuitEngine.run` -- the fast path: the compile-once
+  :class:`~repro.circuits.compiled.CompiledCircuit` artifact evaluates
+  every physical cell of a level as one cross-op packed GEMM;
+* :meth:`CircuitEngine.run_scalar` -- the reference: one
+  ``run_phasor`` (or, in trace mode, one full ``run``) call per
+  (cell, group).  ``run`` also routes here for the configurations the
+  artifact cannot reproduce: placement noise in phasor mode and a cell
+  that fails calibration.
 
 Two execution *modes* share this schedule.  The default ``"phasor"``
 mode evaluates steady-state phasors only; ``"trace"`` mode
 (:meth:`CircuitEngine.run_trace_batch`, or ``run(mode="trace")``) runs
 the full waveform physics instead: every (cell, group) pair generates
-time-domain detector traces through
-:meth:`~repro.core.simulate.GateSimulator.run_batch` (the batched
-carrier-basis GEMM of
-:meth:`~repro.waveguide.LinearWaveguideModel.trace_batch`, memoised per
-gate geometry) and decodes them by lock-in demodulation over the settled
-analysis window -- so propagation delay, causal wavefronts and
-finite-window phase estimation are all part of circuit execution, not
-just of single-gate studies.  Both modes share the fault plumbing, the
+time-domain detector traces
+(:meth:`~repro.core.simulate.GateSimulator.run_batch` on the fast path)
+and decodes them by lock-in demodulation over the settled analysis
+window -- so propagation delay, causal wavefronts and finite-window
+phase estimation are all part of circuit execution, not just of
+single-gate studies.  Both modes share the fault plumbing, the
 per-(cell, group) noise seeding and the per-level decode-margin
 reports; ``tests/test_circuit_conformance.py`` pins all four semantics
-(Boolean, scalar cascade, batched phasor, batched trace) against each
+(Boolean, scalar cascade, packed phasor, packed trace) against each
 other on randomized netlists.
 
 Faults (:class:`CellFault`, reusing
@@ -49,9 +53,7 @@ transducer noise (:class:`~repro.waveguide.NoiseModel`, one independent
 derived seed per cell and group) inject at any physical cell; decode
 errors then *propagate* through later levels instead of raising, which
 is what circuit-level fault coverage and noise-robustness experiments
-measure.  :meth:`CircuitEngine.run_scalar` keeps the per-cell
-``run_phasor`` loop as the pinned ground-truth reference (and the
-benchmark baseline).
+measure.
 
 A purely virtual circuit needs no physics at all:
 
@@ -148,8 +150,8 @@ class CellRecord:
 
 class LazyCellRecords(Mapping):
     """Read-only ``{cell name: CellRecord}``: ``build()`` runs on first
-    access and must not close over reused scratch buffers.  Pickles as
-    a plain dict."""
+    access and must not close over reused scratch buffers.  Copies and
+    serialises as a plain dict."""
 
     __slots__ = ("_build", "_records")
 
@@ -197,7 +199,7 @@ class CircuitRunResult:
     fault silenced a decode); ``failed`` marks those entries.  ``levels``
     carries the per-level decode-margin report; ``cells`` the per-cell
     decode detail as a read-only ``{name: CellRecord}`` mapping (on the
-    packed path a :class:`LazyCellRecords`, built on first access, so
+    compiled path a :class:`LazyCellRecords`, built on first access, so
     callers that never read it never pay for it).  ``mode`` records
     which execution semantics produced the result (``"phasor"`` steady
     state or ``"trace"`` waveform).
@@ -282,7 +284,7 @@ class CircuitEngine:
         revision moves past the one we compiled against, so a netlist
         grown after the engine was built is picked up transparently
         (the per-operation gates and weight caches stay valid -- only
-        the schedule, the noise-seed indices and any packed artifact
+        the schedule, the noise-seed indices and the compiled artifact
         refresh).
         """
         self._schedule_revision = self.netlist.topology_revision
@@ -335,8 +337,8 @@ class CircuitEngine:
 
         Compiled lazily on first use and cached until the netlist's
         topology revision moves; the artifact owns the cross-op packed
-        weight matrices and preallocated buffers the default
-        :meth:`run` path executes against.
+        weight matrices and preallocated buffers :meth:`run` executes
+        against.
         """
         from repro.circuits.compiled import compile_circuit
 
@@ -355,33 +357,11 @@ class CircuitEngine:
         offset = self._physical_index[cell_name] * n_groups + group
         return replace(noise, seed=noise.seed + offset + 1)
 
-    @staticmethod
-    def _group_slice(group, n_bits):
-        return slice(group * n_bits, (group + 1) * n_bits)
-
-    def _record_decode(
-        self, records, node, level, group, n_valid, decoded, margins, amplitudes
-    ):
-        record = records.get(node.name)
-        if record is None:
-            record = CellRecord(
-                name=node.name,
-                operation=node.kind,
-                level=level,
-                bits=[],
-                margins=[],
-                amplitudes=[],
-            )
-            records[node.name] = record
-        record.bits.extend(decoded[:n_valid])
-        record.margins.extend(margins[:n_valid])
-        record.amplitudes.extend(amplitudes[:n_valid])
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, assignments_batch, faults=(), noise=None, strict=True,
-            mode="phasor", packed=True):
+            mode="phasor"):
         """Evaluate a batch of assignments through the physics.
 
         Parameters
@@ -410,49 +390,25 @@ class CircuitEngine:
             every (cell, group) generates detector traces and decodes
             them by lock-in over the settled window
             (:meth:`~repro.core.simulate.GateSimulator.run_batch`).
-        packed:
-            When True (default) the batch executes through the
-            compile-once packed artifact (:meth:`compiled`): one cross-op
-            GEMM per level in phasor mode, preallocated buffers, zero
-            per-run Python-list churn.  Configurations the packed path
-            cannot reproduce bit-identically (per-entry placement noise,
-            physics hooks replaced by subclassing/monkeypatching, a cell
-            that fails calibration) fall back to the per-op batched path
-            transparently; ``packed=False`` forces that per-op path.
+
+        The batch executes through the compile-once artifact
+        (:meth:`compiled`): one cross-op GEMM per level in phasor mode,
+        preallocated buffers, zero per-run Python-list churn.  Placement
+        noise in phasor mode and an artifact whose cells fail
+        calibration run through :meth:`run_scalar` instead.
 
         Returns a :class:`CircuitRunResult`.  Decoded (possibly wrong)
         bits always propagate to later levels -- regeneration restores
         amplitude, not truth -- so fault and noise effects compound
         through the DAG exactly as in hardware.
         """
-        if packed:
-            result = self._run_packed(
-                assignments_batch, faults, noise, strict, mode
-            )
-            if result is not None:
-                return result
-        return self._execute(
-            assignments_batch, faults, noise, strict, batched=True, mode=mode
-        )
-
-    def _run_packed(self, assignments_batch, faults, noise, strict, mode):
-        """Try the compiled packed path; None means "use the per-op path".
-
-        The packed artifact bakes nominal calibration and propagation
-        weights in at compile time, so it only serves configurations it
-        can reproduce bit-identically: shared geometry (no placement
-        noise) and pristine physics hooks.  Anything else falls back.
-        """
-        from repro.circuits import compiled as _compiled
-
-        if noise is not None and noise.position_sigma > 0:
-            return None
-        if not _compiled.physics_pristine():
-            return None
-        self._refresh_schedule()
         artifact = self.compiled()
-        if not artifact.packable:
-            return None
+        placed = noise is not None and noise.position_sigma > 0
+        if not artifact.packable or (placed and mode == "phasor"):
+            return self.run_scalar(
+                assignments_batch, faults=faults, noise=noise,
+                strict=strict, mode=mode,
+            )
         return artifact.run(
             assignments_batch, faults=faults, noise=noise, strict=strict,
             mode=mode,
@@ -479,18 +435,12 @@ class CircuitEngine:
         to DAGs.
 
         Bit-identical semantics to :meth:`run` (same noise seeds, same
-        fault plumbing, same ``mode`` options); the batched paths are
+        fault plumbing, same ``mode`` options); the compiled path is
         pinned against this reference to <= 1e-12 in
         ``tests/test_circuit_engine.py`` and
         ``tests/test_circuit_conformance.py``, and the throughput
         benchmark uses it as the baseline.
         """
-        return self._execute(
-            assignments_batch, faults, noise, strict, batched=False, mode=mode
-        )
-
-    def _execute(self, assignments_batch, faults, noise, strict, batched,
-                 mode="phasor"):
         check_mode(mode)
         self._refresh_schedule()  # picks up netlist growth (revision key)
         block = self.netlist.input_block(assignments_batch)
@@ -527,6 +477,8 @@ class CircuitEngine:
                     bits=values[node.name][:n_entries].tolist(),
                 )
             n_physical = sum(len(nodes) for nodes in physical.values())
+            context = (values, failed, records, level_margins, noise,
+                       n_entries, n_groups, level, strict, mode)
             with obs.span(f"circuit/level/{mode}"):
                 for operation in sorted(physical):
                     nominal = []
@@ -536,19 +488,7 @@ class CircuitEngine:
                          else nominal).append(node)
                     if nominal:
                         self._evaluate_cells(
-                            self.simulator_for(operation),
-                            nominal,
-                            values,
-                            failed,
-                            records,
-                            level_margins,
-                            noise=noise,
-                            n_entries=n_entries,
-                            n_groups=n_groups,
-                            level=level,
-                            strict=strict,
-                            batched=batched,
-                            mode=mode,
+                            self.simulator_for(operation), nominal, *context
                         )
                     for node in faulted:
                         self._evaluate_cells(
@@ -556,17 +496,7 @@ class CircuitEngine:
                                 operation, fault_map[node.name]
                             ),
                             [node],
-                            values,
-                            failed,
-                            records,
-                            level_margins,
-                            noise=noise,
-                            n_entries=n_entries,
-                            n_groups=n_groups,
-                            level=level,
-                            strict=strict,
-                            batched=batched,
-                            mode=mode,
+                            *context,
                         )
             level_reports.append(
                 LevelReport(
@@ -599,120 +529,53 @@ class CircuitEngine:
             mode=mode,
         )
 
-    def _evaluate_cells(
-        self,
-        simulator,
-        nodes,
-        values,
-        failed,
-        records,
-        level_margins,
-        noise,
-        n_entries,
-        n_groups,
-        level,
-        strict,
-        batched,
-        mode,
-    ):
-        """Evaluate ``nodes`` (one operation) for every word group."""
+    def _evaluate_cells(self, simulator, nodes, values, failed, records,
+                        level_margins, noise, n_entries, n_groups, level,
+                        strict, mode):
+        """Evaluate ``nodes`` (one operation) for every word group: one
+        ``run_phasor`` (trace mode: ``run``) call per (cell, group),
+        under that pair's derived noise model."""
         n_bits = self.n_bits
-        entries = []
-        meta = []
-        noises = [] if noise is not None else None
-        for node in nodes:
-            fanin_values = [values[driver] for driver in node.fanin]
-            values[node.name] = np.zeros(len(failed), dtype=np.int64)
-            if batched:
-                # Array-native word blocks: (n_groups, n_inputs, n_bits)
-                # slices feed the batched simulators directly -- no
-                # per-(cell, group) .tolist() round trip on the hot path.
-                block = np.stack(fanin_values)  # (n_inputs, padded)
-                entries.append(
-                    block.reshape(len(fanin_values), n_groups, n_bits)
-                    .transpose(1, 0, 2)
-                )
-            for group in range(n_groups):
-                if not batched:
-                    window = self._group_slice(group, n_bits)
-                    entries.append(
-                        [v[window].tolist() for v in fanin_values]
-                    )
-                meta.append((node, group))
-                if noises is not None:
-                    noises.append(
-                        self._cell_noise(noise, node.name, group, n_groups)
-                    )
-        if batched:
-            entries = np.concatenate(entries, axis=0)
-
-        if mode == "trace":
-            if batched:
-                runs = simulator.run_batch(entries, noises=noises, strict=False)
-            else:
-                runs = self._scalar_trace_runs(simulator, entries, noises)
-        elif batched:
-            runs = simulator.run_phasor_batch(
-                entries, noises=noises, strict=False
-            )
-        else:
-            runs = self._scalar_runs(simulator, entries, noises)
-
-        for (node, group), run in zip(meta, runs):
-            window = self._group_slice(group, n_bits)
-            n_valid = min(n_entries - group * n_bits, n_bits)
-            if run is None:
-                if strict:
-                    raise SimulationError(
-                        f"cell {node.name!r} (level {level}) failed to "
-                        "decode: a channel produced no decodable carrier"
-                    )
-                failed[group * n_bits : group * n_bits + n_valid] = True
-                self._record_decode(
-                    records, node, level, group, n_valid,
-                    [None] * n_bits, [math.nan] * n_bits, [math.nan] * n_bits,
-                )
-                continue
-            values[node.name][window] = run.decoded
-            margins = [d.margin for d in run.decodes]
-            amplitudes = [d.amplitude for d in run.decodes]
-            self._record_decode(
-                records, node, level, group, n_valid,
-                run.decoded, margins, amplitudes,
-            )
-            level_margins.extend(margins[:n_valid])
-
-    @staticmethod
-    def _scalar_loop(simulator, entries, noises, method):
-        """One ``simulator.<method>(words)`` call per entry, under that
-        entry's derived noise model; decode failures become ``None`` --
-        the scalar protocol both batched paths are pinned against."""
-        runner = getattr(simulator, method)
-        if noises is None:
-            noises = [simulator.noise] * len(entries)
+        runner = simulator.run if mode == "trace" else simulator.run_phasor
         saved = simulator.noise
-        runs = []
         try:
-            for words, entry_noise in zip(entries, noises):
-                simulator.noise = entry_noise
-                try:
-                    runs.append(runner(words))
-                except ReproError:
-                    runs.append(None)
+            for node in nodes:
+                fanin_values = [values[driver] for driver in node.fanin]
+                decoded = values[node.name] = np.zeros(
+                    len(failed), dtype=np.int64
+                )
+                record = records[node.name] = CellRecord(
+                    name=node.name, operation=node.kind, level=level,
+                    bits=[], margins=[], amplitudes=[],
+                )
+                for group in range(n_groups):
+                    window = slice(group * n_bits, (group + 1) * n_bits)
+                    n_valid = min(n_entries - group * n_bits, n_bits)
+                    if noise is not None:
+                        simulator.noise = self._cell_noise(
+                            noise, node.name, group, n_groups
+                        )
+                    words = [v[window].tolist() for v in fanin_values]
+                    try:
+                        run = runner(words)
+                    except ReproError:
+                        if strict:
+                            raise SimulationError(
+                                f"cell {node.name!r} (level {level}) failed "
+                                "to decode: a channel produced no decodable "
+                                "carrier"
+                            ) from None
+                        failed[window.start : window.start + n_valid] = True
+                        record.bits.extend([None] * n_valid)
+                        record.margins.extend([math.nan] * n_valid)
+                        record.amplitudes.extend([math.nan] * n_valid)
+                        continue
+                    decoded[window] = run.decoded
+                    decodes = run.decodes[:n_valid]
+                    margins = [d.margin for d in decodes]
+                    record.bits.extend(run.decoded[:n_valid])
+                    record.margins.extend(margins)
+                    record.amplitudes.extend(d.amplitude for d in decodes)
+                    level_margins.extend(margins)
         finally:
             simulator.noise = saved
-        return runs
-
-    @classmethod
-    def _scalar_runs(cls, simulator, entries, noises):
-        """Per-entry ``run_phasor`` loop mirroring ``run_phasor_batch``."""
-        return cls._scalar_loop(simulator, entries, noises, "run_phasor")
-
-    @classmethod
-    def _scalar_trace_runs(cls, simulator, entries, noises):
-        """Per-entry full ``run`` loop mirroring ``run_batch``.
-
-        The time-domain twin of :meth:`_scalar_runs`: one complete
-        waveform simulation and lock-in decode per (cell, group) entry.
-        """
-        return cls._scalar_loop(simulator, entries, noises, "run")

@@ -1,4 +1,4 @@
-"""Coalescing circuit execution front end (PR 6).
+"""Coalescing circuit execution front end.
 
 A :class:`CircuitExecutor` serves *many* logical circuit-evaluation
 requests -- potentially over many distinct netlists -- from one shared
@@ -12,11 +12,12 @@ Requests enter through :meth:`CircuitExecutor.submit`, which returns an
 requests that share a coalescing key -- netlist *signature* (content
 hash, so structurally equal netlists coalesce even as distinct objects),
 execution mode and strictness -- into maximal padded word blocks, and
-executes each block through one packed artifact pass: one cross-op GEMM
-per level covers every queued request's word groups at once.  Per-group
-noise contexts and fault maps keep each request's realisations
-bit-identical to a standalone :meth:`CircuitEngine.run` call (pinned by
-``tests/test_circuit_conformance.py``).
+executes each block through one packed artifact pass
+(:meth:`~repro.circuits.compiled.CompiledCircuit.execute_block`): one
+cross-op GEMM per level covers every queued request's word groups at
+once.  Per-group noise contexts and fault maps keep each request's
+realisations bit-identical to a standalone :meth:`CircuitEngine.run`
+call (pinned by ``tests/test_circuit_conformance.py``).
 
 Flush policy: a queue flushes when its pending word count reaches
 ``max_block``, when the oldest queued request exceeds ``max_latency``
@@ -30,11 +31,13 @@ fallback execution are serialised by one internal lock, so many
 threads may submit concurrently; tickets resolve through a
 ``threading.Event`` and can be awaited without forcing a flush
 (:meth:`ExecutionTicket.result` with ``timeout``).
-Configurations the packed path cannot reproduce (placement noise,
-replaced physics hooks, uncalibratable cells) fall back per request to
-a per-op :class:`~repro.circuits.engine.CircuitEngine` sharing the same
-bindings; the fallback engine map is LRU-bounded to ``cache_size``
-entries, like the compile cache.
+Placement-noise requests skip coalescing and are served eagerly as
+*fallbacks*: in trace mode as a one-tenant artifact block (each row's
+geometry is drawn inside ``run_batch``), in phasor mode through the
+scalar reference :meth:`~repro.circuits.engine.CircuitEngine.run_scalar`
+(the packed GEMM bakes nominal weights in).  A netlist whose artifact
+cannot calibrate also runs the scalar reference, which raises the
+calibration failure lazily.
 
 >>> from repro.circuits.netlist import Netlist
 >>> netlist = Netlist("demo")
@@ -54,16 +57,11 @@ entries, like the compile cache.
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 from repro import obs as _obs
-from repro.circuits.compiled import (
-    CompiledCircuitCache,
-    netlist_signature,
-    physics_pristine,
-)
-from repro.circuits.engine import check_mode, normalise_faults
+from repro.circuits.compiled import CompiledCircuitCache, netlist_signature
+from repro.circuits.engine import CircuitEngine, check_mode, normalise_faults
 from repro.circuits.library import GateBindings, physical_arity
 from repro.errors import (
     EncodingError,
@@ -95,9 +93,8 @@ class RequestTrace:
     ``block_id`` names the coalesced block the request executed in and
     ``coalesced_with`` lists the *other* request IDs that shared it: a
     slow block is attributable to its tenants.  ``path`` is ``"packed"``
-    for block execution and ``"fallback"`` for configurations served by
-    the per-op engine (placement noise, replaced physics hooks,
-    uncalibratable cells).
+    for coalesced block execution and ``"fallback"`` for requests served
+    eagerly outside coalescing (placement noise, uncalibratable cells).
     """
 
     request_id: str
@@ -213,7 +210,7 @@ class _Request:
 
     __slots__ = (
         "netlist", "batch", "faults", "fault_map", "noise", "strict",
-        "ticket", "n_entries", "n_groups", "block", "signature",
+        "ticket", "n_entries", "block", "signature",
         "born", "trace",
     )
 
@@ -241,8 +238,7 @@ class CircuitExecutor:
         calls :meth:`sweep` periodically so the bound holds without
         fresh traffic).
     cache_size:
-        LRU capacity of the compile cache (distinct netlist signatures)
-        and of the fallback engine map.
+        LRU capacity of the compile cache (distinct netlist signatures).
     obs:
         Optional :class:`~repro.obs.MetricsRegistry` holding this
         executor's serving metrics (and, shared onward, its compile
@@ -269,7 +265,7 @@ class CircuitExecutor:
     )
     #: Per-request failure classes counted under ``executor.errors.``:
     #: strict decode failures, netlists mutated between submit and
-    #: flush, block-level flush exceptions, engine-fallback errors and
+    #: flush, block-level flush exceptions, fallback errors and
     #: any other per-request failure (e.g. result construction).
     _ERROR_KEYS = ("decode", "mutated", "flush", "fallback", "request")
 
@@ -308,10 +304,6 @@ class CircuitExecutor:
         self._queues = {}       # key -> list of _Request
         self._queue_words = {}  # key -> pending word count
         self._queue_born = {}   # key -> monotonic time of oldest request
-        # signature -> fallback CircuitEngine, LRU-bounded to cache_size
-        # (a long-lived executor serving many distinct netlists through
-        # the fallback path must not accumulate engines forever).
-        self._engines = OrderedDict()
 
     @property
     def stats(self):
@@ -382,7 +374,6 @@ class CircuitExecutor:
         request.strict = strict
         request.ticket = ExecutionTicket(self, request_id=request_id)
         request.n_entries = len(batch)
-        request.n_groups = -(-request.n_entries // self.n_bits)
         request.signature = netlist_signature(netlist)
         request.born = time.monotonic()
         if self.trace_requests:
@@ -396,11 +387,8 @@ class CircuitExecutor:
         self.obs.inc("executor.requests")
         self.obs.inc("executor.words", request.n_entries)
 
-        if (noise is not None and noise.position_sigma > 0) or (
-            not physics_pristine()
-        ):
-            # Packed execution cannot reproduce this configuration;
-            # serve it immediately through the per-op engine path.
+        if noise is not None and noise.position_sigma > 0:
+            # Per-entry geometry cannot share a coalesced block.
             self._run_fallback(request, mode)
             return request.ticket
 
@@ -535,40 +523,13 @@ class CircuitExecutor:
                     )
                 if not artifact.packable:
                     for request in requests:
-                        self._run_fallback(request, mode)
+                        self._run_fallback(request, mode, artifact)
                     return
-                n_bits = self.n_bits
-                total_groups = sum(r.n_groups for r in requests)
-                padded = total_groups * n_bits
-                buf, failed = artifact._buffers(padded)
-                contexts = []
-                group_faults = []
-                n_valid = []
-                spans = []
-                group_cursor = 0
-                for request in requests:
-                    artifact._write_block(
-                        buf, request.block, group_cursor * n_bits,
-                        (group_cursor + request.n_groups) * n_bits,
-                    )
-                    for group in range(request.n_groups):
-                        contexts.append(
-                            (request.noise, request.n_groups, group)
-                        )
-                        group_faults.append(request.fault_map)
-                        n_valid.append(
-                            min(request.n_entries - group * n_bits, n_bits)
-                        )
-                    spans.append(
-                        (request, group_cursor,
-                         group_cursor + request.n_groups)
-                    )
-                    group_cursor += request.n_groups
                 if tracing:
                     execute_started = time.perf_counter()
-                packed = artifact._execute_padded(
-                    buf, failed, total_groups, n_valid, contexts,
-                    group_faults, mode, registry=self.obs,
+                packed, spans = artifact.execute_block(
+                    [(r.block, r.noise, r.fault_map) for r in requests],
+                    mode, registry=self.obs,
                 )
                 if tracing:
                     execute_s = time.perf_counter() - execute_started
@@ -585,7 +546,8 @@ class CircuitExecutor:
         block_words = sum(r.n_entries for r in requests)
         self.obs.inc("executor.blocks")
         self.obs.observe(
-            "executor.block_occupancy", block_words / padded,
+            "executor.block_occupancy",
+            block_words / (packed.n_groups * self.n_bits),
             bounds=(0.25, 0.5, 0.75, 1.0),
         )
         self.obs.observe(
@@ -619,7 +581,7 @@ class CircuitExecutor:
                     n_requests=len(requests), n_words=block_words,
                     request_ids=tenant_ids,
                 )
-        for request, group_start, group_end in spans:
+        for request, (group_start, group_end) in zip(requests, spans):
             trace = request.trace
             if trace is not None:
                 decode_started = time.perf_counter()
@@ -653,44 +615,44 @@ class CircuitExecutor:
                     result.trace = trace
                 request.ticket._resolve(result=result, trace=trace)
 
-    def _run_fallback(self, request, mode):
-        """Serve one request through the per-op engine path."""
-        from repro.circuits.engine import CircuitEngine
+    def _run_fallback(self, request, mode, artifact=None):
+        """Serve one request eagerly, outside coalescing.
 
+        Trace mode runs a one-tenant block of ``artifact`` (looked up
+        when not given): ``run_batch`` takes a noise model per row, so
+        placement noise rides the compiled path.  Phasor-mode placement
+        noise and an unpackable artifact run the scalar reference.
+        """
         self.obs.inc("executor.fallbacks")
         trace = request.trace
         if trace is not None:
             trace.path = "fallback"
-        signature = request.signature
+            execute_started = time.perf_counter()
         with self._lock:
-            engine = self._engines.get(signature)
-            if engine is None:
-                engine = CircuitEngine(
-                    request.netlist, bindings=self.bindings
-                )
-                self._engines[signature] = engine
-                while len(self._engines) > self.cache.max_entries:
-                    self._engines.popitem(last=False)
-                    self.obs.inc("executor.engine_evictions")
-            else:
-                self._engines.move_to_end(signature)
-            if trace is not None:
-                execute_started = time.perf_counter()
             try:
-                result = engine.run(
+                if mode == "trace" and artifact is None:
+                    artifact = self.cache.get_or_compile(
+                        request.netlist, self.bindings
+                    )
+                if mode == "trace" and artifact.packable:
+                    runner = artifact.run
+                else:
+                    runner = CircuitEngine(
+                        request.netlist, bindings=self.bindings
+                    ).run_scalar
+                result = runner(
                     request.batch,
                     faults=request.faults,
                     noise=request.noise,
                     strict=request.strict,
                     mode=mode,
-                    packed=False,
                 )
             except Exception as exc:
                 # Mirror _flush_requests: *any* failure -- a physics
-                # ReproError or e.g. a TypeError out of a replaced hook
-                # -- must resolve the ticket and land in the error
-                # counters, or submit() leaks the exception with the
-                # request already counted as served.
+                # ReproError or an unexpected TypeError -- must resolve
+                # the ticket and land in the error counters, or submit()
+                # leaks the exception with the request already counted
+                # as served.
                 self.obs.inc("executor.errors.fallback")
                 if trace is not None:
                     trace.execute_s = time.perf_counter() - execute_started
@@ -704,13 +666,13 @@ class CircuitExecutor:
     # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
-    def warm(self, paths):
-        """Preload saved :class:`CompiledCircuit` artifacts (see
-        :meth:`CompiledCircuitCache.warm`): a worker started from
-        artifacts serves its first requests with zero compile misses.
-        Returns the loaded artifacts."""
+    def warm(self, netlists):
+        """Compile ``netlists`` into the cache ahead of traffic (see
+        :meth:`CompiledCircuitCache.warm`): their first requests then
+        hit instead of paying compile + calibration.  Returns the
+        artifacts."""
         with self._lock:
-            return self.cache.warm(paths, self.bindings)
+            return self.cache.warm(netlists, self.bindings)
 
     # ------------------------------------------------------------------
     # Introspection

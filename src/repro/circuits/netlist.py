@@ -92,16 +92,9 @@ class Netlist:
         self._topology_cache = None
         # Monotonic counter bumped by every topology change; consumers
         # (the circuit engine, the compile cache) key compiled artifacts
-        # on it instead of on schedule identity, so pickling or cache
-        # round-trips never force spurious recompiles.
+        # on it instead of on schedule identity.
         self._revision = 0
         self._signature = None  # ((revision, outputs), digest) memo
-
-    def __getstate__(self):
-        # Never pickle the signature memo: a loaded netlist re-hashes.
-        state = self.__dict__.copy()
-        state["_signature"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Construction

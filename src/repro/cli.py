@@ -15,6 +15,7 @@ Subcommands::
 """
 
 import argparse
+import json
 import sys
 
 from repro.core.encoding import bits_to_int, int_to_bits
@@ -177,17 +178,12 @@ def _cmd_circuit(args):
         result = ticket.result()
     else:
         result = engine.run([assignment], mode=args.mode)
-    if args.save_artifact:
-        # Persist the compiled artifact so a serving fleet warm-starts
-        # from it (swgate serve --warm) instead of recompiling.
-        if executor is not None:
-            artifact = executor.cache.get_or_compile(
-                netlist, engine.bindings
-            )
-        else:
-            artifact = engine.compiled()
-        artifact.save(args.save_artifact)
-        print(f"saved compiled artifact to {args.save_artifact}")
+    if args.save_netlist:
+        # The netlist's wire JSON: 'swgate serve --warm' compiles it at
+        # start-up so the first request hits the compile cache.
+        with open(args.save_netlist, "w") as handle:
+            json.dump(netlist.to_dict(), handle)
+        print(f"saved netlist to {args.save_netlist}")
     total = _adder_total(netlist, result, width)
     backend = (
         "time-domain waveform" if result.mode == "trace"
@@ -218,6 +214,26 @@ def _cmd_circuit(args):
     return 0 if result.correct and total == a + b else 1
 
 
+def _load_netlists(paths):
+    """Netlists from ``Netlist.to_dict`` JSON files, validated by
+    ``Netlist.from_dict``; an unreadable or non-JSON file raises
+    :class:`~repro.errors.NetlistError`."""
+    from repro.circuits import Netlist
+    from repro.errors import NetlistError
+
+    netlists = []
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise NetlistError(
+                f"cannot read netlist JSON {str(path)!r}: {exc}"
+            ) from None
+        netlists.append(Netlist.from_dict(payload))
+    return netlists
+
+
 def _cmd_serve(args):
     from repro.serve import CircuitServer, ServeClient
 
@@ -243,6 +259,7 @@ def _cmd_serve(args):
         print(f"  server: {client.stats()['describe']}")
         return 0 if result.correct and total == a + b else 1
 
+    warm = _load_netlists(args.warm or ())
     server = CircuitServer(
         host=args.host,
         port=args.port,
@@ -255,12 +272,12 @@ def _cmd_serve(args):
         log_capacity=args.log_capacity,
         slow_request_s=args.slow_request_ms / 1e3
         if args.slow_request_ms is not None else None,
+        warm=warm,
     )
-    if args.warm:
-        artifacts = server.warm(args.warm)
+    if warm:
         print(
-            f"warm-started {len(artifacts)} compiled artifact(s): "
-            + ", ".join(a.netlist.name for a in artifacts)
+            f"warm-started {len(warm)} netlist(s): "
+            + ", ".join(netlist.name for netlist in warm)
         )
     latency = (
         "no latency bound" if server.executor.max_latency is None
@@ -514,10 +531,10 @@ def build_parser():
         "timings) and metrics table afterwards",
     )
     circuit_parser.add_argument(
-        "--save-artifact",
+        "--save-netlist",
         default=None,
         metavar="PATH",
-        help="persist the compiled circuit artifact to PATH so "
+        help="write the adder netlist as JSON to PATH so "
         "'swgate serve --warm PATH' starts with a hot compile cache",
     )
     circuit_parser.set_defaults(func=_cmd_circuit)
@@ -562,8 +579,8 @@ def build_parser():
         "--warm",
         nargs="*",
         metavar="PATH",
-        help="saved compiled-circuit artifacts (swgate circuit "
-        "--save-artifact) to preload before serving",
+        help="netlist JSON files (swgate circuit --save-netlist) to "
+        "compile before serving",
     )
     serve_parser.add_argument(
         "--send",

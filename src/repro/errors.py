@@ -53,12 +53,6 @@ class OommfFormatError(ReproError):
     """Malformed MIF or OVF content."""
 
 
-class ArtifactError(ReproError):
-    """A saved compiled-circuit artifact cannot be loaded safely
-    (corrupted payload, stale topology hash, or a backend/width
-    mismatch with the loading bindings)."""
-
-
 class SynthesisError(ReproError):
     """Invalid logic-synthesis request (MIG, parser, passes, mapping)."""
 

@@ -1,4 +1,4 @@
-"""``repro.obs`` -- unified metrics and tracing across the stack (PR 8).
+"""``repro.obs`` -- unified metrics and tracing across the stack.
 
 Every hot path in the codebase -- compiled circuit execution, the
 coalescing executor, waveform physics, the LLG kernels, the synthesis
@@ -12,13 +12,12 @@ attributes.  It provides:
     sections.  Counters, gauges and histogram observations always
     record (they are the serving statistics ``CircuitExecutor.stats``
     and the compile-cache hit counters render from); *timing*
-    instrumentation -- :meth:`~MetricsRegistry.span`,
-    :meth:`~MetricsRegistry.timer`, :meth:`~MetricsRegistry.timed` --
-    is gated by the registry's ``enabled`` attribute and reduces to a
-    single attribute check plus a shared no-op context manager when
-    disabled, so instrumented hot loops cost nothing measurable with
-    profiling off (pinned by a bench row in
-    ``benchmarks/bench_circuit_throughput.py``).
+    instrumentation -- :meth:`~MetricsRegistry.span` and
+    :meth:`~MetricsRegistry.record` -- is gated by the registry's
+    ``enabled`` attribute and reduces to a single attribute check plus
+    a shared no-op context manager when disabled, so instrumented hot
+    loops cost nothing measurable with profiling off (pinned by a bench
+    row in ``benchmarks/bench_circuit_throughput.py``).
 
 Process-wide registry
     :func:`get_registry` returns the process-global registry that
@@ -67,7 +66,6 @@ Export
 1
 """
 
-import functools
 import json
 import math
 import re
@@ -86,7 +84,7 @@ DEFAULT_TIME_BUCKETS = (
 class _NoopSpan:
     """Shared do-nothing context manager: the disabled fast path.
 
-    One instance serves every disabled ``span()``/``timer()`` call, so
+    One instance serves every disabled ``span()`` call, so
     the cost of instrumentation with profiling off is one attribute
     check and two trivial method calls -- no allocation, no clock read.
     """
@@ -122,26 +120,6 @@ class _Span:
     def __exit__(self, exc_type, exc, tb):
         self.elapsed = time.perf_counter() - self._start
         self._registry._pop(self.elapsed)
-        return False
-
-
-class _Timer:
-    """Timed section recording into a histogram instead of the tree."""
-
-    __slots__ = ("_registry", "name", "_start", "elapsed")
-
-    def __init__(self, registry, name):
-        self._registry = registry
-        self.name = name
-        self.elapsed = None
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.elapsed = time.perf_counter() - self._start
-        self._registry.observe(self.name, self.elapsed)
         return False
 
 
@@ -222,7 +200,7 @@ class MetricsRegistry:
     ----------
     enabled:
         Gates *timing* instrumentation only (:meth:`span`,
-        :meth:`timer`, :meth:`timed`, :meth:`record`).  Counters,
+        :meth:`record`).  Counters,
         gauges and explicit histogram observations always record --
         they are the always-on serving statistics.  ``None`` (default)
         inherits the process-wide profiling switch at construction
@@ -247,7 +225,7 @@ class MetricsRegistry:
     # Switches
     # ------------------------------------------------------------------
     def enable(self):
-        """Turn timing instrumentation (spans/timers) on."""
+        """Turn timing instrumentation (spans) on."""
         self.enabled = True
 
     def disable(self):
@@ -302,27 +280,6 @@ class MetricsRegistry:
         if not self.enabled:
             return _NOOP_SPAN
         return _Span(self, name)
-
-    def timer(self, name):
-        """Context manager observing its elapsed seconds into a histogram."""
-        if not self.enabled:
-            return _NOOP_SPAN
-        return _Timer(self, name)
-
-    def timed(self, name):
-        """Decorator: run the wrapped callable inside ``span(name)``."""
-
-        def decorate(func):
-            @functools.wraps(func)
-            def wrapper(*args, **kwargs):
-                if not self.enabled:
-                    return func(*args, **kwargs)
-                with self.span(name):
-                    return func(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def record(self, name, elapsed):
         """Append one pre-measured leaf span under the current position.
@@ -793,11 +750,6 @@ def span(name):
     return _REGISTRY.span(name)
 
 
-def timer(name):
-    """``get_registry().timer(name)``."""
-    return _REGISTRY.timer(name)
-
-
 def inc(name, value=1):
     """``get_registry().inc(name, value)``."""
     _REGISTRY.inc(name, value)
@@ -811,23 +763,6 @@ def observe(name, value, bounds=DEFAULT_TIME_BUCKETS):
 def record(name, elapsed):
     """``get_registry().record(name, elapsed)``."""
     _REGISTRY.record(name, elapsed)
-
-
-def timed(name):
-    """Decorator timing calls on the *current* global registry."""
-
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            registry = _REGISTRY
-            if not registry.enabled:
-                return func(*args, **kwargs)
-            with registry.span(name):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def report(extra=None):

@@ -13,9 +13,9 @@ executor already records into (``?format=prometheus`` for scrapers);
 every ``/v1/run`` returns a per-request timing trace and lands in a
 structured event log (``/logs``, ``--access-log``); ``swgate top``
 (:mod:`repro.serve.monitor`) renders live throughput from the same
-endpoints; and workers warm-start from saved
-:class:`~repro.circuits.compiled.CompiledCircuit` artifacts so a fleet
-skips compile + calibration entirely.
+endpoints; and workers warm-start by compiling netlists (``swgate
+serve --warm`` reads ``Netlist.to_dict`` JSON) before the first
+request, so it skips compile + calibration.
 """
 
 from repro.serve.client import ServeClient

@@ -38,10 +38,10 @@ Strict failures map onto HTTP statuses per
 errors 422, bugs 500) and carry the exception class over the wire, so
 remote callers re-raise exactly what in-process callers catch.
 
-Workers start hot by loading saved :class:`CompiledCircuit` artifacts
-(``warm=`` paths, or :meth:`CircuitServer.warm` later): the first
-request then hits the compile cache instead of paying compile +
-calibration.
+Workers start hot by compiling the netlists passed as ``warm=``
+(``swgate serve --warm`` reads them from ``Netlist.to_dict`` JSON):
+their first requests then hit the compile cache instead of paying
+compile + calibration.  Compiled artifacts never leave the process.
 """
 
 import json
@@ -180,8 +180,9 @@ class CircuitServer:
         Forwarded to the internally-built executor when ``executor`` is
         not supplied.
     warm:
-        Paths of saved :class:`CompiledCircuit` artifacts to preload
-        into the compile cache before serving.
+        :class:`~repro.circuits.netlist.Netlist` objects to compile
+        into the executor's cache before serving
+        (:meth:`CircuitExecutor.warm`).
     flush_interval:
         Seconds between background :meth:`CircuitExecutor.sweep` calls;
         defaults to half the executor's ``max_latency`` (no thread when
@@ -232,7 +233,7 @@ class CircuitServer:
         self.executor = executor
         self.obs = executor.obs
         if warm:
-            self.warm(warm)
+            executor.warm(warm)
         if flush_interval is None and executor.max_latency is not None:
             flush_interval = max(executor.max_latency / 2.0, 0.001)
         self.flush_interval = flush_interval
@@ -258,10 +259,6 @@ class CircuitServer:
         return f"http://{self.host}:{self.port}"
 
     # -- lifecycle -----------------------------------------------------
-    def warm(self, paths):
-        """Preload saved artifacts; returns the loaded artifacts."""
-        return self.executor.warm(paths)
-
     def _flush_loop(self):
         while not self._stop.wait(self.flush_interval):
             self.executor.sweep()

@@ -14,8 +14,7 @@ daemon (:mod:`repro.serve.daemon`) and the client
   reports and (on request) per-cell decode detail;
 * errors map onto HTTP statuses by class -- request/validation errors
   (:class:`~repro.errors.NetlistError`,
-  :class:`~repro.errors.EncodingError`,
-  :class:`~repro.errors.ArtifactError`) are 400s, physics-level strict
+  :class:`~repro.errors.EncodingError`) are 400s, physics-level strict
   failures (:class:`~repro.errors.SimulationError`,
   :class:`~repro.errors.ReadoutError`) are 422s, anything unexpected is
   a 500 -- and round-trip back into the same exception classes on the
@@ -58,7 +57,6 @@ from repro.circuits.executor import RequestTrace
 from repro.circuits.netlist import Netlist
 from repro.core.faults import TransducerFault
 from repro.errors import (
-    ArtifactError,
     EncodingError,
     NetlistError,
     ReadoutError,
@@ -313,7 +311,6 @@ def result_from_wire(payload):
 ERROR_STATUS = (
     (NetlistError, 400),
     (EncodingError, 400),
-    (ArtifactError, 400),
     (SimulationError, 422),
     (ReadoutError, 422),
     (ReproError, 400),

@@ -1,20 +1,27 @@
-"""Saved compiled-circuit artifacts: the fleet warm-start path.
+"""Warm start from netlist JSON; compiled artifacts stay in process.
 
-Pins the serialization contract of :meth:`CompiledCircuit.save` /
-:meth:`CompiledCircuit.load`: a loaded artifact serves bit-identical
-results to the freshly-compiled original, and every unsafe load --
-stale topology, tampered payload, wrong precision, wrong data width,
-foreign format -- refuses with :class:`~repro.errors.ArtifactError`
-instead of serving a wrong artifact.  Also covers
-:meth:`CompiledCircuitCache.warm` and :meth:`CircuitExecutor.warm`,
-whose acceptance bar is a first request with zero compile misses.
+A daemon warm-starts by compiling netlists before its first request:
+``swgate circuit --save-netlist`` writes ``Netlist.to_dict`` JSON,
+``swgate serve --warm`` reads it back through ``Netlist.from_dict`` (the
+validator the wire uses) and :meth:`CompiledCircuitCache.warm` /
+:meth:`CircuitExecutor.warm` compile it.  Pins that a warmed artifact
+serves bit-identical results to a fresh compile, with zero compile
+misses; that it is never served to bindings of another precision or
+width; that malformed files refuse with a typed
+:mod:`repro.errors` error; and that no executable payload is ever
+deserialised -- a pickle handed to ``--warm`` never runs, and no
+``src/`` module imports ``pickle``.
 """
 
+import ast
+import json
 import math
+import pathlib
 import pickle
 
 import pytest
 
+import repro
 from repro.backends import NumpyBackend
 from repro.circuits import (
     CircuitExecutor,
@@ -23,9 +30,9 @@ from repro.circuits import (
     compile_circuit,
     ripple_carry_adder,
 )
-from repro.circuits.compiled import CompiledCircuit
 from repro.circuits.netlist import Netlist
-from repro.errors import ArtifactError
+from repro.cli import _load_netlists, main
+from repro.errors import NetlistError, ReproError
 
 N_BITS = 2
 
@@ -48,6 +55,12 @@ BATCH = [
 ]
 
 
+def save(netlist, path):
+    """What ``swgate circuit --save-netlist`` writes."""
+    path.write_text(json.dumps(netlist.to_dict()))
+    return path
+
+
 def assert_results_pinned(left, right, tolerance=1e-12):
     """Outputs bit-identical; margins within ``tolerance``."""
     assert left.outputs == right.outputs
@@ -66,8 +79,8 @@ class TestSaveLoadRoundTrip:
     def test_loaded_artifact_matches_fresh_compile(self, tmp_path):
         bindings = GateBindings(n_bits=N_BITS)
         original = compile_circuit(xor_pair("disk"), bindings)
-        path = original.save(tmp_path / "xor.ccz")
-        loaded = CompiledCircuit.load(path, bindings)
+        (netlist,) = _load_netlists([save(xor_pair("disk"), tmp_path / "x")])
+        loaded = compile_circuit(netlist, bindings)
         assert loaded.signature == original.signature
         assert loaded.n_bits == original.n_bits
         assert loaded.packable == original.packable
@@ -76,115 +89,96 @@ class TestSaveLoadRoundTrip:
     def test_round_trip_preserves_trace_mode(self, tmp_path):
         bindings = GateBindings(n_bits=N_BITS)
         original = compile_circuit(xor_pair("trace"), bindings)
-        path = original.save(tmp_path / "xor.ccz")
-        loaded = CompiledCircuit.load(path, bindings)
+        (netlist,) = _load_netlists([save(xor_pair("trace"), tmp_path / "x")])
+        loaded = compile_circuit(netlist, bindings)
         assert_results_pinned(
             loaded.run(BATCH, mode="trace"),
             original.run(BATCH, mode="trace"),
         )
 
-    def test_save_returns_path_and_counts(self, tmp_path):
-        from repro import obs
-
-        bindings = GateBindings(n_bits=N_BITS)
-        artifact = compile_circuit(xor_pair("count"), bindings)
-        before = obs.get_registry().counter("circuit.artifact_saves")
-        path = artifact.save(tmp_path / "a.ccz")
-        assert path == tmp_path / "a.ccz"
-        after = obs.get_registry().counter("circuit.artifact_saves")
-        assert after == before + 1
-
 
 class TestLoadRefusals:
-    def test_wrong_precision_refused(self, tmp_path):
+    def test_wrong_precision_refused(self):
+        """An artifact warmed at float64 is never served to float32."""
         double = GateBindings(n_bits=N_BITS, backend=NumpyBackend("double"))
         single = GateBindings(n_bits=N_BITS, backend=NumpyBackend("single"))
-        path = compile_circuit(xor_pair("p"), double).save(
-            tmp_path / "d.ccz"
-        )
-        with pytest.raises(ArtifactError, match="backend"):
-            CompiledCircuit.load(path, single)
+        cache = CompiledCircuitCache(max_entries=4)
+        (warmed,) = cache.warm([xor_pair("p")], double)
+        served = cache.get_or_compile(xor_pair("p"), single)
+        assert served is not warmed
+        assert served.bindings is single
+        assert (cache.hits, cache.misses) == (0, 1)
 
-    def test_wrong_n_bits_refused(self, tmp_path):
+    def test_wrong_n_bits_refused(self):
         narrow = GateBindings(n_bits=N_BITS)
         wide = GateBindings(n_bits=N_BITS * 2)
-        path = compile_circuit(xor_pair("w"), narrow).save(
-            tmp_path / "n.ccz"
-        )
-        with pytest.raises(ArtifactError, match="n_bits"):
-            CompiledCircuit.load(path, wide)
+        cache = CompiledCircuitCache(max_entries=4)
+        (warmed,) = cache.warm([xor_pair("w")], narrow)
+        served = cache.get_or_compile(xor_pair("w"), wide)
+        assert served is not warmed
+        assert served.n_bits == N_BITS * 2
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_tampered_topology_refused(self, tmp_path):
-        """An artifact whose embedded netlist no longer hashes to the
-        saved signature must never serve (stale or tampered payload)."""
-        bindings = GateBindings(n_bits=N_BITS)
-        path = compile_circuit(xor_pair("t"), bindings).save(
-            tmp_path / "t.ccz"
-        )
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
-        tampered = xor_pair("t")
-        tampered.add_cell("z", "XOR2", ("x", "y"))
-        tampered.mark_output("z")
-        state["attrs"]["netlist"] = tampered
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
-        with pytest.raises(ArtifactError, match="content-hash"):
-            CompiledCircuit.load(path, bindings)
+        """A file whose cell reads an undefined node never builds."""
+        payload = xor_pair("t").to_dict()
+        payload["nodes"][-1]["fanin"] = ["x", "ghost"]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NetlistError, match="ghost"):
+            _load_netlists([path])
 
     def test_unknown_format_version_refused(self, tmp_path):
-        bindings = GateBindings(n_bits=N_BITS)
-        path = compile_circuit(xor_pair("v"), bindings).save(
-            tmp_path / "v.ccz"
-        )
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
-        state["format"] = 999
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
-        with pytest.raises(ArtifactError, match="format"):
-            CompiledCircuit.load(path, bindings)
+        """Valid JSON in another format (here a versioned envelope with
+        no node list) is not a netlist."""
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"format": 999, "attrs": {}}))
+        with pytest.raises(NetlistError, match="nodes"):
+            _load_netlists([path])
 
     def test_non_artifact_file_refused(self, tmp_path):
         path = tmp_path / "noise.bin"
-        path.write_bytes(b"this is not a pickle")
-        bindings = GateBindings(n_bits=N_BITS)
-        with pytest.raises(ArtifactError, match="cannot read"):
-            CompiledCircuit.load(path, bindings)
+        for junk in (b"this is not JSON", b"[" * 200_000):
+            path.write_bytes(junk)
+            with pytest.raises(NetlistError, match="cannot read"):
+                _load_netlists([path])
 
     def test_foreign_pickle_refused(self, tmp_path):
-        path = tmp_path / "dict.pkl"
-        with open(path, "wb") as handle:
-            pickle.dump({"hello": "world"}, handle)
-        bindings = GateBindings(n_bits=N_BITS)
-        with pytest.raises(ArtifactError, match="not a compiled-circuit"):
-            CompiledCircuit.load(path, bindings)
+        """A pickle handed to ``swgate serve --warm`` is refused with a
+        typed error and never unpickled: its payload would create the
+        sentinel file."""
+        sentinel = tmp_path / "pwned"
+
+        class Payload:
+            def __reduce__(self):
+                return open, (str(sentinel), "w")
+
+        path = tmp_path / "rca4.ccz"
+        path.write_bytes(pickle.dumps(Payload()))
+        with pytest.raises(ReproError):
+            main(["serve", "--port", "0", "--warm", str(path)])
+        with pytest.raises(NetlistError, match="cannot read"):
+            _load_netlists([path])
+        assert not sentinel.exists()
 
 
 class TestWarmStart:
-    def test_cache_warm_serves_without_misses(self, tmp_path):
+    def test_cache_warm_serves_without_misses(self):
         bindings = GateBindings(n_bits=N_BITS)
-        path = compile_circuit(xor_pair("warm"), bindings).save(
-            tmp_path / "w.ccz"
-        )
         cache = CompiledCircuitCache(max_entries=4)
-        loaded = cache.warm([path], bindings)
-        assert len(loaded) == 1
+        warmed = cache.warm([xor_pair("warm")], bindings)
+        assert len(warmed) == 1
         assert len(cache) == 1
+        assert cache.obs.counter("compile_cache.warmed") == 1
         served = cache.get_or_compile(xor_pair("other-title"), bindings)
-        assert served is loaded[0]
+        assert served is warmed[0]
         assert (cache.hits, cache.misses) == (1, 0)
 
-    def test_executor_warm_first_request_zero_misses(self, tmp_path):
+    def test_executor_warm_first_request_zero_misses(self):
         """The acceptance bar: a warm-started worker's first request
         never pays compile + calibration."""
-        bindings = GateBindings(n_bits=N_BITS)
-        netlist = ripple_carry_adder(2)
-        path = compile_circuit(netlist, bindings).save(
-            tmp_path / "rca.ccz"
-        )
         executor = CircuitExecutor(bindings=GateBindings(n_bits=N_BITS))
-        executor.warm([path])
+        executor.warm([ripple_carry_adder(2)])
         result = executor.run(
             ripple_carry_adder(2),
             [{"a0": 1, "a1": 0, "b0": 1, "b1": 1}],
@@ -193,30 +187,42 @@ class TestWarmStart:
         assert executor.cache.misses == 0
         assert executor.cache.hits == 1
 
-    def test_warm_respects_lru_capacity(self, tmp_path):
+    def test_warm_respects_lru_capacity(self):
         bindings = GateBindings(n_bits=N_BITS)
-        paths = []
-        for index, netlist in enumerate(
-            (xor_pair("a"), ripple_carry_adder(2), ripple_carry_adder(3))
-        ):
-            paths.append(
-                compile_circuit(netlist, bindings).save(
-                    tmp_path / f"{index}.ccz"
-                )
-            )
+        netlists = [xor_pair("a"), ripple_carry_adder(2),
+                    ripple_carry_adder(3)]
         cache = CompiledCircuitCache(max_entries=2)
-        loaded = cache.warm(paths, bindings)
-        assert len(loaded) == 3  # all load...
+        warmed = cache.warm(netlists, bindings)
+        assert len(warmed) == 3  # all compile...
         assert len(cache) == 2  # ...but the cache stays bounded
 
     def test_warm_propagates_refusals(self, tmp_path):
+        """Anything but a Netlist -- e.g. a path, as warm took before --
+        raises a typed error; the netlists before it stay cached."""
         bindings = GateBindings(n_bits=N_BITS)
-        single = GateBindings(
-            n_bits=N_BITS, backend=NumpyBackend("single")
-        )
-        path = compile_circuit(xor_pair("refuse"), bindings).save(
-            tmp_path / "r.ccz"
-        )
         cache = CompiledCircuitCache(max_entries=2)
-        with pytest.raises(ArtifactError):
-            cache.warm([path], single)
+        with pytest.raises(NetlistError, match="Netlist objects"):
+            cache.warm([xor_pair("ok"), str(tmp_path / "r.ccz")], bindings)
+        assert len(cache) == 1
+
+
+def test_no_src_module_imports_pickle():
+    """Compiled artifacts never leave the process, so nothing under
+    ``src/`` has a reason to deserialise executable payloads."""
+    banned = {"pickle", "_pickle", "cPickle", "dill", "cloudpickle",
+              "shelve"}
+    offenders = []
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(root)}: {name}" for name in names
+                if name.split(".")[0] in banned
+            ]
+    assert offenders == []

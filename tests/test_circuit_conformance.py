@@ -10,10 +10,10 @@ placement-noise configurations:
   reference (physics must match it bit-for-bit in nominal runs);
 * **scalar cascade** -- :meth:`CircuitEngine.run_scalar`, one
   ``run_phasor`` / ``run`` call per (cell, word group), the pinned
-  ground truth of both batched paths;
-* **batched phasor** -- :meth:`CircuitEngine.run`, the steady-state
-  GEMM path (pinned to scalar at <= 1e-12);
-* **batched trace** -- ``run(mode="trace")``, full time-domain waveform
+  ground truth of the compiled path;
+* **packed phasor** -- :meth:`CircuitEngine.run`, the compiled
+  steady-state GEMM path (pinned to scalar at <= 1e-12);
+* **packed trace** -- ``run(mode="trace")``, full time-domain waveform
   generation with lock-in decode (pinned to its scalar loop at
   <= 1e-12, and decode-agreeing with the phasor path).
 
@@ -166,9 +166,10 @@ class TestConformanceFast:
     def test_placement_noise_fallback(self):
         """Per-entry placement noise exercises the per-source trace path.
 
-        Position jitter breaks shared geometry, so the batched trace
-        falls back from the carrier-basis GEMM to the general per-source
-        loop -- and must still pin to the scalar reference.
+        Position jitter breaks shared geometry, so the compiled trace
+        path falls back from the carrier-basis GEMM to the general
+        per-source loop -- and must still pin to the scalar reference.
+        (Phasor mode runs the scalar reference itself.)
         """
         seed = FAST_SEEDS[1]
         netlist = random_netlist(seed)
@@ -216,7 +217,7 @@ class TestCoalescedConformance:
     Three requests -- nominal, noisy and faulty -- are queued against
     structurally equal netlists (distinct objects, same content hash)
     and executed as ONE packed block; every ticket must pin to the
-    per-op, uncoalesced ``CircuitEngine.run(packed=False)`` reference.
+    uncoalesced scalar reference ``CircuitEngine.run_scalar``.
     """
 
     @pytest.mark.parametrize("mode", ["phasor", "trace"])
@@ -256,13 +257,12 @@ class TestCoalescedConformance:
         assert executor.stats["fallbacks"] == 0
         for ticket, (batch, faults, noise_model) in zip(tickets, configs):
             assert ticket.done
-            reference = engine.run(
+            reference = engine.run_scalar(
                 batch,
                 faults=faults,
                 noise=noise_model,
                 strict=False,
                 mode=mode,
-                packed=False,
             )
             assert_pinned(ticket.result(), reference)
 
@@ -279,8 +279,8 @@ class TestCoalescedConformance:
         assert executor.pending_words == 0
         assert executor.stats["blocks"] == 1
         assert_pinned(
-            second.result(), CircuitEngine(netlist, n_bits=N_BITS).run(
-                batch, strict=False, packed=False
+            second.result(), CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+                batch, strict=False
             )
         )
 
@@ -319,9 +319,7 @@ class TestCoalescedConformance:
         assert executor.stats["blocks"] == 1
         engine = CircuitEngine(netlist, n_bits=N_BITS)
         for ticket, batch in zip(tickets, batches):
-            reference = engine.run(
-                batch, noise=noise, strict=False, packed=False
-            )
+            reference = engine.run_scalar(batch, noise=noise, strict=False)
             assert_pinned(ticket.result(), reference)
 
     def test_block_failure_resolves_every_ticket(self, monkeypatch):
@@ -370,8 +368,8 @@ class TestCoalescedConformance:
         assert doomed.done
         with pytest.raises(NetlistError, match="mutated"):
             doomed.result()
-        reference = CircuitEngine(twin, n_bits=N_BITS).run(
-            batch, strict=False, packed=False
+        reference = CircuitEngine(twin, n_bits=N_BITS).run_scalar(
+            batch, strict=False
         )
         assert_pinned(healthy.result(), reference)
 
@@ -386,10 +384,41 @@ class TestCoalescedConformance:
         assert ticket.done
         assert executor.stats["fallbacks"] == 1
         assert executor.stats["blocks"] == 0
-        reference = CircuitEngine(netlist, n_bits=N_BITS).run(
-            batch, noise=noise, strict=False, packed=False
+        reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+            batch, noise=noise, strict=False
         )
         assert_pinned(ticket.result(), reference)
+
+    def test_position_noise_trace_runs_through_the_artifact(
+        self, monkeypatch
+    ):
+        """A placement-noise trace request skips coalescing but runs a
+        one-tenant artifact block (``run_batch`` takes one noise model
+        per row), pinned to the scalar trace reference."""
+        seed = FAST_SEEDS[1]
+        netlist = random_netlist(seed)
+        batch = random_batch(netlist, seed, n_entries=4)
+        noise = NoiseModel(position_sigma=1e-9, seed=95 + seed)
+        reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+            batch, noise=noise, strict=False, mode="trace"
+        )
+
+        def no_scalar(*args, **kwargs):
+            raise AssertionError("served by the scalar reference")
+
+        monkeypatch.setattr(CircuitEngine, "run_scalar", no_scalar)
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        ticket = executor.submit(
+            netlist, batch, noise=noise, strict=False, mode="trace"
+        )
+        assert ticket.done
+        result = ticket.result()
+        assert result.trace.path == "fallback"
+        assert executor.stats["fallbacks"] == 1
+        assert executor.stats["blocks"] == 0
+        assert executor.cache.misses == 1
+        assert result.mode == "trace"
+        assert_pinned(result, reference)
 
 
 # ----------------------------------------------------------------------

@@ -527,15 +527,19 @@ class TestFaultInjection:
         engine = CircuitEngine(netlist, n_bits=2)
         batch = exhaustive_batch(netlist)[:2]
 
-        original = GateSimulator.run_phasor_batch
+        from repro.circuits import compiled
 
-        def dying(self, words_batch, noises=None, strict=True):
-            runs = original(self, words_batch, noises=noises, strict=strict)
-            if self.gate.kind.uses_amplitude_readout:
-                return [None] * len(runs)  # kill every XOR decode
-            return runs
+        decode = compiled.decode_phasor_block
 
-        monkeypatch.setattr(GateSimulator, "run_phasor_batch", dying)
+        def dying(*args, amplitude_readout=False):
+            bits, phases, amplitudes, margins, dead = decode(
+                *args, amplitude_readout=amplitude_readout
+            )
+            if amplitude_readout:
+                dead = np.ones_like(dead)  # kill every XOR decode
+            return bits, phases, amplitudes, margins, dead
+
+        monkeypatch.setattr(compiled, "decode_phasor_block", dying)
         with pytest.raises(SimulationError, match="failed to decode"):
             engine.run(batch)
         result = engine.run(batch, strict=False)

@@ -1,5 +1,7 @@
 """Tests for the swgate command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -104,40 +106,48 @@ class TestCommands:
         assert "physics matches logic" in out
         assert "min margin" in out
 
-    def test_circuit_save_artifact(self, tmp_path, capsys):
-        target = tmp_path / "adder.ccz"
+    def test_circuit_save_netlist(self, tmp_path, capsys):
+        from repro.circuits import Netlist, netlist_signature
+        from repro.circuits import ripple_carry_adder
+
+        target = tmp_path / "adder.json"
         assert (
             main(
                 [
                     "circuit", "0x3", "0x2",
                     "--width", "2", "--bits", "2",
-                    "--save-artifact", str(target),
+                    "--save-netlist", str(target),
                 ]
             )
             == 0
         )
-        assert target.exists()
-        assert "saved compiled artifact" in capsys.readouterr().out
+        assert "saved netlist" in capsys.readouterr().out
+        saved = Netlist.from_dict(json.loads(target.read_text()))
+        assert netlist_signature(saved) == netlist_signature(
+            ripple_carry_adder(2)
+        )
 
     def test_serve_send_round_trip(self, tmp_path, capsys):
-        """`swgate circuit --save-artifact` -> `swgate serve --warm` ->
+        """`swgate circuit --save-netlist` -> `swgate serve --warm` ->
         `swgate serve --send`: the whole CLI serving workflow."""
+        from repro.cli import _load_netlists
         from repro.serve import CircuitServer
 
-        artifact = tmp_path / "rca2.ccz"
+        saved = tmp_path / "rca2.json"
         assert (
             main(
                 [
                     "circuit", "0x1", "0x2",
                     "--width", "2", "--bits", "2", "--packed",
-                    "--save-artifact", str(artifact),
+                    "--save-netlist", str(saved),
                 ]
             )
             == 0
         )
         capsys.readouterr()
         with CircuitServer(
-            port=0, n_bits=2, max_latency=0.002, warm=[str(artifact)]
+            port=0, n_bits=2, max_latency=0.002,
+            warm=_load_netlists([saved]),
         ) as daemon:
             assert (
                 main(
@@ -152,7 +162,7 @@ class TestCommands:
             assert "0x1 + 0x2 = 0x3" in out
             assert "physics matches logic" in out
             assert "server:" in out
-            # The warm artifact served it: no compile miss.
+            # The warmed netlist served it: no compile miss.
             assert daemon.executor.cache.misses == 0
             assert daemon.executor.cache.hits == 1
 

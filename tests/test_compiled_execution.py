@@ -145,6 +145,25 @@ class TestCompileCache:
         result = artifact.run(BATCH)
         assert result.outputs == netlist.evaluate_batch(BATCH)
 
+    def test_artifact_refuses_only_phasor_placement_noise(self):
+        """The packed GEMM bakes nominal weights in, so phasor placement
+        noise is refused; trace mode draws each row's geometry inside
+        ``run_batch`` and runs."""
+        from repro.errors import SimulationError
+        from repro.waveguide import NoiseModel
+
+        netlist = xor_pair("placed")
+        artifact = compile_circuit(netlist, GateBindings(n_bits=N_BITS))
+        noise = NoiseModel(position_sigma=1e-9, seed=5)
+        with pytest.raises(SimulationError, match="placement noise"):
+            artifact.run(BATCH, noise=noise)
+        trace = artifact.run(BATCH, noise=noise, strict=False, mode="trace")
+        reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+            BATCH, noise=noise, strict=False, mode="trace"
+        )
+        assert trace.outputs == reference.outputs
+        assert trace.failed == reference.failed
+
 
 class TestExecutorValidation:
     def test_unknown_mode_rejected(self):
@@ -364,71 +383,28 @@ class TestExecutorFailureBookkeeping:
         assert "1 errors" in text
 
 
-def inv_chain(length):
-    """Netlists of distinct lengths have distinct content hashes."""
-    netlist = Netlist(f"chain{length}")
-    netlist.add_input("a")
-    previous = "a"
-    for index in range(length):
-        name = f"n{index}"
-        netlist.add_cell(name, "INV", (previous,))
-        previous = name
-    netlist.mark_output(previous)
-    return netlist
-
-
 class TestFallbackEngineLifecycle:
-    """The per-op fallback path's engine map and error handling.
+    """Error handling of the fallback path.
 
-    Regression class for two leaks: the engine map grew without bound
-    (one entry per distinct netlist a long-lived executor ever served
-    through the fallback path), and a non-``ReproError`` out of the
-    engine escaped :meth:`_run_fallback` with the ticket stranded
+    Regression class for a leak: a non-``ReproError`` out of the
+    fallback run escaped :meth:`_run_fallback` with the ticket stranded
     unresolved and the request already counted as served.
     """
 
-    #: Placement noise forces the fallback path (packed execution
-    #: cannot reproduce per-cell geometry perturbation).
+    #: Placement noise in phasor mode forces the fallback path onto the
+    #: scalar reference (the packed GEMM bakes nominal geometry in).
     @staticmethod
     def _noise():
         from repro.waveguide.noise import NoiseModel
 
         return NoiseModel(position_sigma=5e-9, seed=7)
 
-    def test_fallback_engine_map_is_lru_bounded(self):
-        executor = CircuitExecutor(n_bits=N_BITS, cache_size=2)
-        noise = self._noise()
-        for length in (1, 2, 3, 4):
-            ticket = executor.submit(
-                inv_chain(length), [{"a": 1}], noise=noise
-            )
-            assert ticket.done  # fallback serves immediately
-            assert ticket.result().correct
-        assert executor.stats["fallbacks"] == 4
-        assert len(executor._engines) == 2
-        assert executor.obs.counter("executor.engine_evictions") == 2
-
-    def test_fallback_engine_reuse_refreshes_lru_order(self):
-        executor = CircuitExecutor(n_bits=N_BITS, cache_size=2)
-        noise = self._noise()
-        executor.submit(inv_chain(1), [{"a": 1}], noise=noise)
-        executor.submit(inv_chain(2), [{"a": 1}], noise=noise)
-        engines = dict(executor._engines)
-        # Touch chain1 again: it becomes most-recent, so chain3's
-        # arrival must evict chain2, not chain1.
-        executor.submit(inv_chain(1), [{"a": 0}], noise=noise)
-        assert dict(executor._engines) == engines  # reused, not rebuilt
-        executor.submit(inv_chain(3), [{"a": 1}], noise=noise)
-        kept = set(executor._engines)
-        assert netlist_signature(inv_chain(1)) in kept
-        assert netlist_signature(inv_chain(2)) not in kept
-
     def test_fallback_resolves_ticket_on_non_repro_error(
         self, monkeypatch
     ):
-        """A ``TypeError`` out of the engine (e.g. a broken replaced
-        hook) must resolve the ticket and count as a fallback error,
-        not escape ``submit`` with the ticket stranded."""
+        """A ``TypeError`` out of the scalar reference must resolve the
+        ticket and count as a fallback error, not escape ``submit``
+        with the ticket stranded."""
         from repro.circuits import engine as engine_mod
 
         executor = CircuitExecutor(n_bits=N_BITS)
@@ -436,7 +412,9 @@ class TestFallbackEngineLifecycle:
         def broken_run(self, *args, **kwargs):
             raise TypeError("hook returned the wrong shape")
 
-        monkeypatch.setattr(engine_mod.CircuitEngine, "run", broken_run)
+        monkeypatch.setattr(
+            engine_mod.CircuitEngine, "run_scalar", broken_run
+        )
         ticket = executor.submit(
             xor_pair("broken"), BATCH, noise=self._noise()
         )
@@ -457,7 +435,9 @@ class TestFallbackEngineLifecycle:
         def dead_run(self, *args, **kwargs):
             raise SimulationError("decode of cell 'y' is dead")
 
-        monkeypatch.setattr(engine_mod.CircuitEngine, "run", dead_run)
+        monkeypatch.setattr(
+            engine_mod.CircuitEngine, "run_scalar", dead_run
+        )
         ticket = executor.submit(
             xor_pair("sick"), BATCH, noise=self._noise(), strict=True
         )

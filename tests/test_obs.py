@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.circuits import CircuitEngine, CircuitExecutor, full_adder
-from repro.obs import DEFAULT_TIME_BUCKETS, MetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 # ----------------------------------------------------------------------
@@ -141,27 +141,6 @@ def test_record_inserts_leaf_span():
     assert leaf["total"] == pytest.approx(0.25)
 
 
-def test_timed_decorator():
-    registry = MetricsRegistry(enabled=True)
-
-    @registry.timed("compute")
-    def compute(x):
-        return x * 2
-
-    assert compute(21) == 42
-    (node,) = registry.snapshot()["spans"]
-    assert node["name"] == "compute"
-
-
-def test_timer_observes_histogram():
-    registry = MetricsRegistry(enabled=True)
-    with registry.timer("step"):
-        pass
-    h = registry.histogram("step")
-    assert h["count"] == 1
-    assert h["bounds"] == list(DEFAULT_TIME_BUCKETS)
-
-
 # ----------------------------------------------------------------------
 # Disabled fast path
 # ----------------------------------------------------------------------
@@ -176,10 +155,8 @@ def test_disabled_span_is_shared_noop():
     assert registry.snapshot()["spans"] == []
 
 
-def test_disabled_timer_and_record_are_noops():
+def test_disabled_record_is_noop():
     registry = MetricsRegistry(enabled=False)
-    with registry.timer("t"):
-        pass
     registry.record("r", 1.0)
     snapshot = registry.snapshot()
     assert snapshot["histograms"] == {}

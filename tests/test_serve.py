@@ -20,8 +20,6 @@ import pytest
 from repro.circuits import (
     CellFault,
     CircuitExecutor,
-    GateBindings,
-    compile_circuit,
     ripple_carry_adder,
 )
 from repro.circuits.netlist import Netlist
@@ -692,13 +690,9 @@ class TestClientTransportErrors:
 
 
 class TestWarmStartOverHttp:
-    def test_first_request_hits_warm_cache(self, tmp_path):
-        bindings = GateBindings(n_bits=N_BITS)
-        path = compile_circuit(xor_pair("disk"), bindings).save(
-            tmp_path / "xor.ccz"
-        )
+    def test_first_request_hits_warm_cache(self):
         with CircuitServer(
-            n_bits=N_BITS, max_latency=0.002, warm=[path]
+            n_bits=N_BITS, max_latency=0.002, warm=[xor_pair("disk")]
         ) as daemon:
             client = ServeClient(daemon.url)
             result = client.run(xor_pair("fresh-title"), BATCH)
