@@ -29,6 +29,7 @@ committed baseline with ``python benchmarks/compare_bench.py``.
 """
 
 import pytest
+from conftest import bench_seconds
 
 from repro.circuits import (
     CircuitEngine,
@@ -77,9 +78,9 @@ def _record(benchmark, engine, netlist, batch, mode):
     benchmark.extra_info["n_bits"] = engine.n_bits
     benchmark.extra_info["batch_size"] = len(batch)
     benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["backend"] = engine.bindings.backend.tag
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["words_per_second"] = len(batch) / mean
+    seconds = bench_seconds(benchmark)
+    if seconds is not None:
+        benchmark.extra_info["words_per_second"] = len(batch) / seconds
 
 
 def _with_hit_rates(metrics):
@@ -210,14 +211,18 @@ def test_obs_disabled_overhead(benchmark, adder_setup):
                 pass
 
     benchmark(noop_spans)
-    per_call = benchmark.stats.stats.mean / n_calls
+    seconds = bench_seconds(benchmark)
+    if seconds is None:  # untimed smoke run: time one pass directly
+        started = _time.perf_counter()
+        noop_spans()
+        seconds = _time.perf_counter() - started
+    per_call = seconds / n_calls
 
     started = _time.perf_counter()
     engine.run(batch)
     run_elapsed = _time.perf_counter() - started
     overhead = spans_per_run * per_call / run_elapsed
     benchmark.extra_info["mode"] = "obs-overhead"
-    benchmark.extra_info["backend"] = engine.bindings.backend.tag
     benchmark.extra_info["spans_per_run"] = spans_per_run
     benchmark.extra_info["noop_span_ns"] = per_call * 1e9
     benchmark.extra_info["overhead_fraction"] = overhead
@@ -268,7 +273,6 @@ def test_engine_trace_scalar_throughput(benchmark, trace_setup):
 
 def test_engine_fault_sweep_throughput(benchmark, adder_setup):
     """One full-adder fault-universe sweep (the circuit-faults inner loop)."""
-    from repro.backends import get_backend
     from repro.experiments.circuit_faults import run as run_faults
 
     results = benchmark(run_faults, width=1, n_bits=4)
@@ -277,33 +281,3 @@ def test_engine_fault_sweep_throughput(benchmark, adder_setup):
     benchmark.extra_info["depth"] = results["depth"]
     benchmark.extra_info["n_faults"] = results["n_faults"]
     benchmark.extra_info["mode"] = "fault-sweep"
-    benchmark.extra_info["backend"] = get_backend().tag
-
-
-@pytest.fixture(scope="module")
-def adder_setup_float32():
-    """The rca4 sweep again, compiled for the single-precision backend."""
-    from repro.backends import NumpyBackend
-    from repro.circuits.library import GateBindings
-
-    netlist = ripple_carry_adder(4)
-    bindings = GateBindings(n_bits=N_BITS, backend=NumpyBackend("single"))
-    engine = CircuitEngine(netlist, bindings=bindings)
-    batch = _adder_batch(4, N_GROUPS * N_BITS)
-    engine.run(batch[: N_BITS])
-    return engine, netlist, batch
-
-
-def test_engine_packed_float32_throughput(benchmark, adder_setup_float32):
-    """Packed serving on the float32 backend: the precision speedup row.
-
-    Identical circuit, batch and steady-state packed path as
-    ``test_engine_packed_throughput``; the only difference is the
-    backend, so the ratio of the two rows is the measured single-
-    precision throughput gain (the GEMMs run in complex64 against
-    half-size weight matrices).
-    """
-    engine, netlist, batch = adder_setup_float32
-    result = benchmark(engine.run, batch)
-    assert result.correct
-    _record(benchmark, engine, netlist, batch, "packed")

@@ -1,7 +1,7 @@
 """Bench: batched versus per-word gate evaluation throughput.
 
 The byte majority gate's exhaustive input-word set (2^3 uniform
-patterns) is evaluated two ways in each backend mode:
+patterns) is evaluated two ways in each mode (phasor and trace):
 
 * per-word -- the historical loop, one ``run``/``run_phasor`` call per
   input word;
@@ -14,6 +14,7 @@ snapshots), so the batched/per-word ratio is tracked across PRs.
 """
 
 import pytest
+from conftest import bench_seconds
 
 from repro.core.simulate import GateSimulator
 
@@ -36,8 +37,9 @@ def _record_words_per_second(benchmark, n_words, mode, batched):
     benchmark.extra_info["n_words"] = n_words
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["batched"] = batched
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["words_per_second"] = n_words / mean
+    seconds = bench_seconds(benchmark)
+    if seconds is not None:
+        benchmark.extra_info["words_per_second"] = n_words / seconds
 
 
 def test_phasor_per_word_throughput(benchmark, byte_setup):

@@ -107,27 +107,6 @@ def test_full_demag_into_throughput(benchmark, film_state):
         term.add_field_into(film_state, out)
 
     benchmark(kernel)
-    benchmark.extra_info["backend"] = term.backend.tag
-
-
-def test_full_demag_into_scipy_fft_throughput(benchmark, film_state):
-    """Newell demag through the planned scipy.fft backend (workers=-1)."""
-    from repro.backends import ScipyFFTBackend
-    from repro.errors import BackendError
-
-    try:
-        backend = ScipyFFTBackend()
-    except BackendError:
-        pytest.skip("scipy not available")
-    term = DemagField(film_state.mesh, backend=backend)
-    out = np.zeros(film_state.mesh.shape + (3,))
-
-    def kernel():
-        out.fill(0.0)
-        term.add_field_into(film_state, out)
-
-    benchmark(kernel)
-    benchmark.extra_info["backend"] = backend.tag
 
 
 def test_thin_film_demag_throughput(benchmark, film_state):
@@ -174,29 +153,6 @@ def test_rk4_step_into_throughput(benchmark, film_state):
     rhs_into = workspace.bound_rhs(film_state)
     m = film_state.m.copy()
     benchmark(rk4_step_into, rhs_into, 0.0, m, 1e-14, workspace.rk)
-    benchmark.extra_info["backend"] = workspace.backend.tag
-
-
-def test_rk4_step_into_float32_throughput(benchmark, film_state):
-    """The workspace RK4 step with every buffer/operator in float32.
-
-    Same film problem as ``test_rk4_step_into_throughput``; the state's
-    magnetisation is downcast so the GEMMs, cross products and FFT-free
-    field kernels all run single-precision -- the ratio of the two rows
-    is the precision speedup of the LLG hot loop.
-    """
-    from repro.backends import NumpyBackend
-
-    backend = NumpyBackend("single")
-    terms = [cls() for cls in FILM_TERMS]
-    workspace = LLGWorkspace(
-        film_state.mesh, film_state.material, terms, backend=backend
-    )
-    film_state.m = film_state.m.astype(np.float32)
-    rhs_into = workspace.bound_rhs(film_state)
-    m = film_state.m.copy()
-    benchmark(rk4_step_into, rhs_into, 0.0, m, 1e-14, workspace.rk)
-    benchmark.extra_info["backend"] = backend.tag
 
 
 def test_rkf45_step_throughput(benchmark, film_state):

@@ -25,6 +25,7 @@ with ``python benchmarks/compare_bench.py``.
 """
 
 import pytest
+from conftest import bench_seconds
 
 from repro.circuits import CircuitExecutor, ripple_carry_adder
 from repro.serve import CircuitServer, ServeClient
@@ -50,19 +51,20 @@ def _adder_batch(width, n_assignments, seed=0):
     return batch
 
 
-def _record(benchmark, netlist, batch, mode, backend):
+def _record(benchmark, netlist, batch, mode):
     benchmark.extra_info["circuit"] = netlist.name
     benchmark.extra_info["depth"] = netlist.depth()
     benchmark.extra_info["n_bits"] = N_BITS
     benchmark.extra_info["batch_size"] = len(batch)
     benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["backend"] = backend
-    mean = benchmark.stats.stats.mean
+    mean = bench_seconds(benchmark)
+    if mean is None:
+        return
     benchmark.extra_info["words_per_second"] = len(batch) / mean
     # Min-time rate: robust to scheduler jitter on shared boxes, so the
     # traced-vs-untraced observability tax is read off this column.
     benchmark.extra_info["words_per_second_best"] = (
-        len(batch) / benchmark.stats.stats.min
+        len(batch) / bench_seconds(benchmark, "min")
     )
 
 
@@ -82,10 +84,7 @@ def test_daemon_loopback_throughput(benchmark, serving_setup):
     daemon, client, netlist, batch = serving_setup
     result = benchmark(client.run, netlist, batch)
     assert result.correct
-    _record(
-        benchmark, netlist, batch, "daemon",
-        daemon.executor.bindings.backend.tag,
-    )
+    _record(benchmark, netlist, batch, "daemon")
     benchmark.extra_info["metrics"] = {
         "serve.requests": daemon.obs.counter("serve.requests"),
         "executor.blocks": daemon.obs.counter("executor.blocks"),
@@ -106,10 +105,7 @@ def test_daemon_untraced_throughput(benchmark, serving_setup):
         result = benchmark(client.run, netlist, batch)
         assert result.correct
         assert result.trace is None
-        _record(
-            benchmark, netlist, batch, "daemon-untraced",
-            untraced.executor.bindings.backend.tag,
-        )
+        _record(benchmark, netlist, batch, "daemon-untraced")
 
 
 def test_in_process_executor_throughput(benchmark, serving_setup):
@@ -120,7 +116,4 @@ def test_in_process_executor_throughput(benchmark, serving_setup):
     executor.run(netlist, batch[:N_BITS])  # warm the compile cache
     result = benchmark(executor.run, netlist, batch)
     assert result.correct
-    _record(
-        benchmark, netlist, batch, "in-process",
-        executor.bindings.backend.tag,
-    )
+    _record(benchmark, netlist, batch, "in-process")

@@ -15,6 +15,7 @@ Three measurements, snapshotted by ``--bench-json`` into
 """
 
 import pytest
+from conftest import bench_seconds
 
 from repro.circuits import CircuitEngine
 from repro.synthesis import get_circuit, optimize, suite, synthesize, to_netlist
@@ -92,9 +93,9 @@ def _throughput(benchmark, engines, batch, label):
     benchmark.extra_info["n_physical_cells"] = report.n_physical
     benchmark.extra_info["n_bits"] = N_BITS
     benchmark.extra_info["batch_size"] = len(batch)
-    benchmark.extra_info["words_per_second"] = (
-        len(batch) / benchmark.stats.stats.mean
-    )
+    seconds = bench_seconds(benchmark)
+    if seconds is not None:
+        benchmark.extra_info["words_per_second"] = len(batch) / seconds
 
 
 def test_mapped_naive_throughput(benchmark, mapped_comparator):

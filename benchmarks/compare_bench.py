@@ -114,10 +114,9 @@ def diff_metrics(name, fresh_record, baseline_record):
 def diff_records(fresh, baseline, threshold):
     """Diff two snapshot dicts; returns ``(lines, regression_count)``.
 
-    Rows present only in ``fresh`` (e.g. a bench just added, or an
-    existing bench re-tagged for a new compute backend) are reported as
-    informational "new bench" lines and never gate; rows present only
-    in ``baseline`` are reported as removed.  Only rows common to both
+    Rows present only in ``fresh`` (e.g. a bench just added or renamed)
+    are reported as informational "new bench" lines and never gate;
+    rows present only in ``baseline`` are reported as removed.  Only rows common to both
     snapshots can count as regressions.  Efficiency warnings from the
     ``metrics`` sub-dict (cache hit-rate collapses) are appended per
     row but never count as regressions.

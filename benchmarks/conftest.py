@@ -20,6 +20,17 @@ import pytest
 _STAT_KEYS = ("min", "max", "mean", "stddev", "median", "rounds", "ops")
 
 
+def bench_seconds(benchmark, stat="mean"):
+    """The measured ``stat`` [s] of a timed row, or ``None`` untimed.
+
+    ``--benchmark-disable`` runs every row once as a smoke check and
+    leaves ``benchmark.stats`` unset; rows derive their rate figures
+    (``words_per_second`` and friends) only when this is not ``None``.
+    """
+    stats = getattr(benchmark, "stats", None)
+    return None if stats is None else getattr(stats.stats, stat)
+
+
 def print_report(text):
     """Print a report block with a separator, surviving capture."""
     print()

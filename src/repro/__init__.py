@@ -18,14 +18,6 @@ Quickstart::
 """
 
 from repro import obs
-from repro.backends import (
-    Backend,
-    NumpyBackend,
-    ScipyFFTBackend,
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from repro.obs import MetricsRegistry
 from repro.materials import FECOB_PMA, YIG, PERMALLOY, Material, get_material
 from repro.physics import (
@@ -61,12 +53,6 @@ __version__ = "1.0.0"
 __all__ = [
     "obs",
     "MetricsRegistry",
-    "Backend",
-    "NumpyBackend",
-    "ScipyFFTBackend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "Material",
     "FECOB_PMA",
     "YIG",

@@ -22,6 +22,7 @@ blocks against it:
   exactly like :class:`~repro.core.faults.FaultySimulator`'s inherited
   calibration path).
 
+Weights and excitation blocks are complex128, the only numeric path.
 Every execution is one padded block of one or more *tenants* (a
 request's input block, noise template and fault map) assembled by
 :meth:`CompiledCircuit.execute_block`: :meth:`CompiledCircuit.run` is a
@@ -343,8 +344,7 @@ class CompiledCircuit:
                 key = tuple(op.operation for op in plan.ops)
                 if key not in stack_memo:
                     stack_memo[key] = LinearWaveguideModel.block_stack_weights(
-                        [op.weights for op in plan.ops],
-                        backend=self.bindings.backend,
+                        [op.weights for op in plan.ops]
                     )
                 plan.weights = stack_memo[key]
 
@@ -382,9 +382,7 @@ class CompiledCircuit:
         excite = self._excite_buffers.get(key)
         if excite is None:
             rows = sum(op.n_cells for op in plan.ops) * n_groups
-            excite = self.bindings.backend.zeros(
-                (rows, plan.n_sources), kind="complex"
-            )
+            excite = np.zeros((rows, plan.n_sources), dtype=complex)
             self._excite_buffers[key] = excite
         return excite
 
@@ -944,9 +942,9 @@ class CompiledCircuitCache:
     def get_or_compile(self, netlist, bindings):
         """The cached artifact of ``netlist``, compiling on first sight.
 
-        The key includes the bindings' backend identity: artifacts bake
-        weights and buffers in the backend dtype, so a float32 artifact
-        must never be served to a float64 caller (or vice versa).
+        The key includes the bindings' width: an artifact bakes one
+        ``n_bits`` into its weights and buffers, so it is never served
+        to bindings of another width.
         """
         key = self._key(netlist, bindings)
         artifact = self._entries.get(key)
@@ -987,8 +985,7 @@ class CompiledCircuitCache:
 
     @staticmethod
     def _key(netlist, bindings):
-        return (netlist_signature(netlist), bindings.n_bits,
-                bindings.backend.key)
+        return (netlist_signature(netlist), bindings.n_bits)
 
     def _insert(self, key, artifact):
         """Store ``artifact`` as most recent, evicting past the bound."""

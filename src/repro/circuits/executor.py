@@ -271,12 +271,11 @@ class CircuitExecutor:
 
     def __init__(self, n_bits=8, waveguide=None, transducer=None,
                  bindings=None, max_block=64, max_latency=None,
-                 cache_size=16, backend=None, obs=None,
+                 cache_size=16, obs=None,
                  trace_requests=True, events=None):
         if bindings is None:
             bindings = GateBindings(
                 n_bits=n_bits, waveguide=waveguide, transducer=transducer,
-                backend=backend,
             )
         self.bindings = bindings
         self.n_bits = bindings.n_bits
@@ -392,10 +391,7 @@ class CircuitExecutor:
             self._run_fallback(request, mode)
             return request.ticket
 
-        # Backend identity is part of the coalescing signature: requests
-        # may only share a packed block when their artifacts were
-        # compiled for the same precision / FFT engine.
-        key = (request.signature, mode, strict, self.bindings.backend.key)
+        key = (request.signature, mode, strict)
         with self._lock:
             self._queues.setdefault(key, []).append(request)
             self._queue_words[key] = (

@@ -92,8 +92,7 @@ class GateBindings:
     weights and trace bases amortise over every netlist it serves.
     """
 
-    def __init__(self, n_bits=8, waveguide=None, transducer=None, backend=None):
-        from repro.backends import get_backend
+    def __init__(self, n_bits=8, waveguide=None, transducer=None):
         from repro.waveguide import Waveguide
 
         if n_bits < 1:
@@ -101,7 +100,6 @@ class GateBindings:
         self.n_bits = int(n_bits)
         self.waveguide = waveguide if waveguide is not None else Waveguide()
         self.transducer = transducer
-        self.backend = backend if backend is not None else get_backend()
         self._model = None
         self._gates = {}
         self._simulators = {}
@@ -111,9 +109,7 @@ class GateBindings:
         if self._model is None:
             from repro.waveguide.linear_model import LinearWaveguideModel
 
-            self._model = LinearWaveguideModel(
-                self.waveguide, backend=self.backend
-            )
+            self._model = LinearWaveguideModel(self.waveguide)
         return self._model
 
     def gate(self, operation):

@@ -213,6 +213,12 @@ class InlineGateLayout:
                 if start is not None:
                     placed = (multiplier, start)
                     break
+            if placed is None and occupied:
+                # Dense plans can fill the whole search window; past every
+                # placed transducer the channel cannot collide.
+                fits = [m for m in candidates if m * wavelength >= pitch - 1e-15]
+                if fits:
+                    placed = (fits[0], max(start_min, max(occupied) + pitch))
             if placed is None:
                 raise LayoutError(
                     f"cannot place channel {channel} "

@@ -10,10 +10,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class BackendError(ReproError):
-    """Invalid compute-backend selection or configuration."""
-
-
 class MaterialError(ReproError):
     """Invalid or inconsistent material parameters."""
 

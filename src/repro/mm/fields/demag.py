@@ -6,6 +6,8 @@ convolution of the Newell tensor with the magnetisation -- the exact
 is the local thin-film approximation H = -Ms*m_z*z_hat (demag factor
 N_zz = 1), adequate for laterally extended ultrathin films and orders of
 magnitude cheaper; the ablation benchmark quantifies the difference.
+Both evaluate in float64; the FFT convolution runs on ``np.fft`` with
+preallocated ``out=`` buffers.
 """
 
 import warnings
@@ -13,7 +15,6 @@ import warnings
 import numpy as np
 
 from repro import obs
-from repro.backends import get_backend
 from repro.mm.fields.base import FieldTerm
 from repro.mm.fields.newell import demag_tensor
 
@@ -22,48 +23,36 @@ class DemagField(FieldTerm):
     """Full demagnetisation via Newell tensor + FFT convolution.
 
     The tensor FFTs are precomputed at construction for a given mesh, so
-    each field evaluation costs 3 forward and 3 inverse real FFTs.
-
-    ``backend`` (default :func:`repro.backends.get_backend`) supplies
-    the FFT engine and the working dtype: the Newell tensor spectra are
-    always computed in float64 and then cast, while the padded input,
-    spectral and inverse-transform buffers are preallocated once in the
-    backend dtype and reused through the backend's ``out=``-style FFT
-    calls -- on the default NumPy backend a field evaluation performs
-    no heap allocation at all.
+    each field evaluation costs 3 forward and 3 inverse real FFTs.  The
+    padded input, spectral and inverse-transform buffers are
+    preallocated once and filled through ``np.fft``'s ``out=`` argument,
+    so a field evaluation performs no heap allocation at all.
     """
 
     _TENSOR_ROWS = (("xx", "xy", "xz"), ("xy", "yy", "yz"), ("xz", "yz", "zz"))
 
-    def __init__(self, mesh, backend=None):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.backend = backend if backend is not None else get_backend()
         self._padded = tuple(2 * n if n > 1 else 1 for n in mesh.shape)
         tensor = demag_tensor(mesh, self._padded)
         self._axes = (0, 1, 2)
-        # Tensor spectra: compute double, store backend (the cast is a
-        # no-op on the default backend).
         self._n_hat = {
-            key: self.backend.cast(
-                np.fft.rfftn(component, s=self._padded, axes=self._axes),
-                kind="complex",
-            )
+            key: np.fft.rfftn(component, s=self._padded, axes=self._axes)
             for key, component in tensor.items()
         }
         # Reusable FFT workspaces: the zero padding of ``_pad`` is
         # written once here and never touched again (field evaluations
         # only overwrite the [:nx,:ny,:nz] corner); the magnetisation
         # spectra, the accumulators and the inverse-transform output all
-        # live in preallocated buffers the backend FFTs fill in place.
+        # live in preallocated buffers the FFTs fill in place.
         spectral_shape = self._n_hat["xx"].shape
-        self._pad = self.backend.zeros(self._padded, kind="real")
+        self._pad = np.zeros(self._padded)
         self._m_hat = [
-            self.backend.empty(spectral_shape, kind="complex")
-            for _ in range(3)
+            np.empty(spectral_shape, dtype=complex) for _ in range(3)
         ]
-        self._acc = self.backend.empty(spectral_shape, kind="complex")
-        self._spec_tmp = self.backend.empty(spectral_shape, kind="complex")
-        self._full = self.backend.empty(self._padded, kind="real")
+        self._acc = np.empty(spectral_shape, dtype=complex)
+        self._spec_tmp = np.empty(spectral_shape, dtype=complex)
+        self._full = np.empty(self._padded)
 
     def _check_state(self, state):
         mesh = state.mesh
@@ -90,10 +79,8 @@ class DemagField(FieldTerm):
         corner = self._pad[:nx, :ny, :nz]
         for comp in range(3):
             np.multiply(state.m[..., comp], ms, out=corner)
-            self._m_hat[comp] = self.backend.rfftn(
-                self._pad, s=self._padded, axes=self._axes,
-                out=self._m_hat[comp],
-            )
+            np.fft.rfftn(self._pad, s=self._padded, axes=self._axes,
+                         out=self._m_hat[comp])
         return self._m_hat
 
     def field(self, state, t=0.0):
@@ -106,9 +93,8 @@ class DemagField(FieldTerm):
 
         The padded real input buffer, the spectral accumulators and the
         inverse-transform output are all reused across calls; the tensor
-        contraction runs through in-place ufuncs, so on backends with
-        ``out=`` FFT support (the NumPy default) the whole evaluation is
-        allocation-free.
+        contraction runs through in-place ufuncs, so the whole evaluation
+        is allocation-free.
         """
         self._check_state(state)
         with obs.span("mm/demag_fft"):
@@ -121,10 +107,9 @@ class DemagField(FieldTerm):
                 acc += tmp
                 np.multiply(self._n_hat[row[2]], m_hat[2], out=tmp)
                 acc += tmp
-                full = self.backend.irfftn(
-                    acc, s=self._padded, axes=self._axes, out=self._full
-                )
-                out[..., comp] -= full[:nx, :ny, :nz]
+                np.fft.irfftn(acc, s=self._padded, axes=self._axes,
+                              out=self._full)
+                out[..., comp] -= self._full[:nx, :ny, :nz]
         return out
 
 

@@ -51,27 +51,16 @@ class RKScratch:
     instead of one multiply-add pass per tableau coefficient.
     """
 
-    def __init__(self, shape, dtype=float):
+    def __init__(self, shape):
         size = int(np.prod(shape))
-        self.k_matrix = np.empty((6, size), dtype=dtype)
+        self.k_matrix = np.empty((6, size))
         self.k = [self.k_matrix[i].reshape(shape) for i in range(6)]
-        self.stage = np.empty(shape, dtype=dtype)
-        self.out = np.empty(shape, dtype=dtype)
-        self.y4 = np.empty(shape, dtype=dtype)
+        self.stage = np.empty(shape)
+        self.out = np.empty(shape)
+        self.y4 = np.empty(shape)
         self.stage_flat = self.stage.reshape(size)
         self.out_flat = self.out.reshape(size)
         self.y4_flat = self.y4.reshape(size)
-        # Tableau coefficient rows in the scratch dtype, so every stage
-        # combination runs as a single-precision GEMV when the buffers
-        # are float32 (for float64 these are the module arrays
-        # themselves -- asarray is a no-op -- keeping the default path
-        # bit-identical).
-        self.rk4_b = np.asarray(_RK4_B, dtype=dtype)
-        self.rkf_a_rows = tuple(
-            np.asarray(row, dtype=dtype) for row in _RKF_A_ROWS
-        )
-        self.rkf_b5 = np.asarray(_RKF_B5_ARR, dtype=dtype)
-        self.rkf_b4 = np.asarray(_RKF_B4_ARR, dtype=dtype)
 
 
 def rk4_step(rhs, t, y, dt):
@@ -105,7 +94,7 @@ def rk4_step_into(rhs_into, t, y, dt, work):
     np.multiply(k3, dt, out=stage)
     stage += y
     rhs_into(t + dt, stage, k4)
-    np.matmul(dt * work.rk4_b, work.k_matrix[:4], out=work.out_flat)
+    np.matmul(dt * _RK4_B, work.k_matrix[:4], out=work.out_flat)
     out += y
     return out
 
@@ -148,12 +137,12 @@ def rkf45_step_into(rhs_into, t, y, dt, work):
     stage, out, y4 = work.stage, work.out, work.y4
     rhs_into(t, y, ks[0])
     for s in range(1, 6):
-        np.matmul(dt * work.rkf_a_rows[s], k_matrix[:s], out=work.stage_flat)
+        np.matmul(dt * _RKF_A_ROWS[s], k_matrix[:s], out=work.stage_flat)
         stage += y
         rhs_into(t + _RKF_C[s] * dt, stage, ks[s])
-    np.matmul(dt * work.rkf_b5, k_matrix, out=work.out_flat)
+    np.matmul(dt * _RKF_B5_ARR, k_matrix, out=work.out_flat)
     out += y
-    np.matmul(dt * work.rkf_b4, k_matrix, out=work.y4_flat)
+    np.matmul(dt * _RKF_B4_ARR, k_matrix, out=work.y4_flat)
     y4 += y
     np.subtract(out, y4, out=y4)
     np.abs(y4, out=y4)

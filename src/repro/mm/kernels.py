@@ -16,14 +16,13 @@ in-place counterpart:
   t)`` (see :mod:`repro.mm.fields.base`), accumulating into the shared
   field buffer instead of returning fresh arrays.
 
-The reference allocating API (:func:`repro.mm.llg.llg_rhs`,
+Every buffer is float64, like the state it steps.  The reference allocating API (:func:`repro.mm.llg.llg_rhs`,
 ``FieldTerm.field``) is unchanged and remains the ground truth the
 equivalence tests compare against.
 """
 
 import numpy as np
 
-from repro.backends import get_backend
 from repro.constants import MU0
 from repro.errors import SimulationError
 from repro.mm.fields.exchange import (
@@ -115,26 +114,20 @@ class LLGWorkspace:
     time-dependent terms see the staged magnetisation.
     """
 
-    def __init__(self, mesh, material, terms=(), alpha=None, backend=None):
+    def __init__(self, mesh, material, terms=(), alpha=None):
         self.mesh = mesh
         self.terms = list(terms)
-        self.backend = backend if backend is not None else get_backend()
-        dtype = self.backend.real_dtype
         shape = mesh.shape + (3,)
         size = int(np.prod(shape))
-        # Every scratch buffer follows the backend dtype; ufuncs and
-        # GEMMs writing into them downcast in place (same-kind casting),
-        # so a float32 workspace steps in float32 even when the caller's
-        # state array is float64.  The default backend keeps float64.
-        self.h = np.empty(shape, dtype=dtype)
+        self.h = np.empty(shape)
         # m x H and m x (m x H) live as rows of one (2, size) matrix so
         # the damping combination pref * (row0 + alpha * row1) collapses
         # into a single BLAS vector-matrix product (scalar alpha only).
-        self._cross_pair = np.empty((2, size), dtype=dtype)
+        self._cross_pair = np.empty((2, size))
         self.mxh = self._cross_pair[0].reshape(shape)
         self.mxmxh = self._cross_pair[1].reshape(shape)
-        self.tmp_cell = np.empty(mesh.shape, dtype=dtype)
-        self.rk = RKScratch(shape, dtype=dtype)
+        self.tmp_cell = np.empty(mesh.shape)
+        self.rk = RKScratch(shape)
         # The hot path cycles over a handful of fixed arrays (this
         # workspace's buffers, the integrator's stage/slope buffers, the
         # caller's state array), so component views and flat views are
@@ -159,8 +152,8 @@ class LLGWorkspace:
         self.material = material
         self.alpha, self.prefactor = damping_prefactors(material, alpha)
         if isinstance(self.alpha, float):
-            self._damping_coeffs = self.backend.cast(
-                np.array([self.prefactor, self.prefactor * self.alpha])
+            self._damping_coeffs = np.array(
+                [self.prefactor, self.prefactor * self.alpha]
             )
         else:
             self._damping_coeffs = None
@@ -212,23 +205,21 @@ class LLGWorkspace:
                 general.insert(0, exchange)
                 x_scale = scale_y = scale_z = 0.0
 
-        dtype = self.backend.real_dtype
         right = None
         if scale_y or scale_z:
             right = trailing_laplacian_operator(ny, nz, scale_y, scale_z)
             if linear is not None:
                 right += np.kron(np.eye(ny * nz), linear)
                 linear = None
-            # Built in float64, stored (contiguous) in the backend
-            # dtype: the fused operator is a per-step GEMM operand.
-            right = np.ascontiguousarray(self.backend.cast(right.T))
-            self._right_buf = np.empty((nx, k), dtype=dtype)
+            # The fused operator is a per-step GEMM operand.
+            right = np.ascontiguousarray(right.T)
+            self._right_buf = np.empty((nx, k))
         linear_t = None
         if linear is not None:
-            linear_t = np.ascontiguousarray(self.backend.cast(linear.T))
-            self._right_buf = np.empty((nx * ny * nz, 3), dtype=dtype)
+            linear_t = np.ascontiguousarray(linear.T)
+            self._right_buf = np.empty((nx * ny * nz, 3))
         if x_scale != 0.0:
-            self._diff_buf = np.empty((nx - 1, ny, nz, 3), dtype=dtype)
+            self._diff_buf = np.empty((nx - 1, ny, nz, 3))
 
         self._plan = (x_scale, right, linear_t, tuple(general))
         self._plan_material = state.material

@@ -145,15 +145,23 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = self.headers.get("X-Request-Id") or None
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(f"{length} is negative")
+        except ValueError as exc:
+            # The body's extent is unknown, so the connection cannot be
+            # reused: answer and close instead of reading to EOF.
+            self._reject_body(
+                f"bad Content-Length: {exc}", started, request_id,
+                headers=(("Connection", "close"),),
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, TypeError) as exc:
-            self._send(400, {"error": {
-                "type": "NetlistError",
-                "message": f"request body is not valid JSON: {exc}",
-            }})
-            app.log_access(
-                "POST", path, 400, time.perf_counter() - started,
-                request_id=request_id,
+        except (ValueError, TypeError, RecursionError) as exc:
+            # RecursionError: a deeply nested array or object.
+            self._reject_body(
+                f"request body is not valid JSON: {exc}", started,
+                request_id,
             )
             return
         status, wire, request_id = app.handle_run(
@@ -161,6 +169,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._send(
             status, wire, headers=(("X-Request-Id", request_id),)
+        )
+
+
+    def _reject_body(self, message, started, request_id, headers=()):
+        """400 ``NetlistError`` for a body that cannot be decoded."""
+        self._send(400, {"error": {
+            "type": "NetlistError", "message": message,
+        }}, headers=headers)
+        self.server.app.log_access(
+            "POST", "/v1/run", 400, time.perf_counter() - started,
+            request_id=request_id,
         )
 
 
@@ -176,7 +195,7 @@ class CircuitServer:
     host, port:
         Bind address; port 0 (the default) picks an ephemeral port,
         read back from :attr:`port` / :attr:`url`.
-    n_bits, bindings, backend, max_block, max_latency, cache_size, obs:
+    n_bits, bindings, max_block, max_latency, cache_size, obs:
         Forwarded to the internally-built executor when ``executor`` is
         not supplied.
     warm:
@@ -209,7 +228,7 @@ class CircuitServer:
     """
 
     def __init__(self, executor=None, host="127.0.0.1", port=0, *,
-                 n_bits=8, bindings=None, backend=None, max_block=64,
+                 n_bits=8, bindings=None, max_block=64,
                  max_latency=0.005, cache_size=16, obs=None, warm=(),
                  flush_interval=None, trace_requests=True, events=None,
                  access_log=None, log_capacity=512, slow_request_s=0.5):
@@ -221,7 +240,7 @@ class CircuitServer:
         )
         if executor is None:
             executor = CircuitExecutor(
-                n_bits=n_bits, bindings=bindings, backend=backend,
+                n_bits=n_bits, bindings=bindings,
                 max_block=max_block, max_latency=max_latency,
                 cache_size=cache_size, obs=obs,
                 trace_requests=trace_requests, events=events,
@@ -398,7 +417,6 @@ class CircuitServer:
             "uptime_s": time.monotonic() - self._started,
             "pending_words": self.executor.pending_words,
             "n_bits": self.executor.n_bits,
-            "backend": self.executor.bindings.backend.tag,
         }
 
     def log_access(self, method, path, status, latency_s, **fields):

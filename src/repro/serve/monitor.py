@@ -107,8 +107,8 @@ def render_interval(prev, cur):
     r50, r99 = _quantiles_ms(prev, cur, "serve.request_s")
 
     lines = [
-        f"swgate top -- {health['backend']} backend, "
-        f"{health['n_bits']}-bit cells, uptime {health['uptime_s']:.0f}s, "
+        f"swgate top -- {health['n_bits']}-bit cells, "
+        f"uptime {health['uptime_s']:.0f}s, "
         f"pending {health['pending_words']} words",
         f"  interval   {dt:.2f}s",
         f"  throughput {words / dt:8.1f} words/s   "

@@ -29,7 +29,9 @@ batch x detector grid into a single complex GEMM against the cached
 propagation weights of :meth:`LinearWaveguideModel.phasor_weights`.
 Batches are cheapest to express as an array-native
 :class:`~repro.waveguide.sources.SourceBank`, which every batched entry
-point accepts in place of ``WaveSource`` lists.
+point accepts in place of ``WaveSource`` lists.  Every operand is
+float64/complex128: the exact frequency matching of the cached weights
+(``tol=1e-12``) needs the full precision.
 """
 
 import math
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.backends import get_backend
 from repro.errors import SimulationError
 from repro.physics.damping import attenuation_length
 from repro.physics.solve import wavenumber_for_frequency
@@ -100,18 +101,9 @@ SourceBatch = namedtuple(
 class LinearWaveguideModel:
     """Superposition model bound to one waveguide's dispersion."""
 
-    def __init__(self, waveguide, front_smoothing=0.0, backend=None):
-        """``front_smoothing`` [s] smooths the causal turn-on edge.
-
-        ``backend`` (default :func:`repro.backends.get_backend`) fixes
-        the dtype of every bulk operand this model produces -- cached
-        propagation weights, carrier bases and phasor blocks.  Geometry
-        and frequencies stay float64 regardless (see
-        :mod:`repro.backends` for the dtype-discipline rationale), so
-        frequency matching is exact on every backend.
-        """
+    def __init__(self, waveguide, front_smoothing=0.0):
+        """``front_smoothing`` [s] smooths the causal turn-on edge."""
         self.waveguide = waveguide
-        self.backend = backend if backend is not None else get_backend()
         self.dispersion = waveguide.dispersion()
         if front_smoothing < 0:
             raise SimulationError(
@@ -275,11 +267,6 @@ class LinearWaveguideModel:
         basis_sin *= front
         basis_cos = np.cos(argument)
         basis_cos *= front
-        # Compute double, store backend: the trig evaluation above runs
-        # in float64, the stored basis (the GEMM operand) follows the
-        # backend dtype.  The default backend cast is a no-op.
-        basis_sin = self.backend.cast(basis_sin, kind="real")
-        basis_cos = self.backend.cast(basis_cos, kind="real")
         basis_sin.setflags(write=False)
         basis_cos.setflags(write=False)
         if key is not None:
@@ -311,10 +298,8 @@ class LinearWaveguideModel:
             basis_sin, basis_cos = self.trace_basis(
                 pos[0], freq[0], t_on[0], position, t, cache=cache_basis
             )
-            # Coefficient rows are cast so both GEMMs run entirely in
-            # the backend dtype (sgemm under float32, no upcast).
-            coeff_cos = self.backend.cast(envelope * np.cos(phase))
-            coeff_sin = self.backend.cast(envelope * np.sin(phase))
+            coeff_cos = envelope * np.cos(phase)
+            coeff_sin = envelope * np.sin(phase)
             return coeff_cos @ basis_sin + coeff_sin @ basis_cos
 
         total = np.zeros((pos.shape[0], t.shape[0]), dtype=float)
@@ -440,17 +425,13 @@ class LinearWaveguideModel:
             weights[selected, d] = np.exp(-distance / length[selected]) * np.exp(
                 -1j * k[selected] * distance
             )
-        # Computed in complex128 above (exact frequency matching and
-        # full-precision attenuation), stored in the backend dtype --
-        # the cached matrix is the operand of every steady-state GEMM.
-        weights = self.backend.cast(weights, kind="complex")
         weights.setflags(write=False)
         if key is not None:
             self._weights_cache[key] = weights
         return weights
 
     @staticmethod
-    def block_stack_weights(blocks, backend=None):
+    def block_stack_weights(blocks):
         """Block-diagonal stack of per-operation propagation weights.
 
         ``blocks`` is a sequence of ``(n_sources_i, n_detectors_i)``
@@ -464,18 +445,15 @@ class LinearWaveguideModel:
         to its per-operation evaluation.  The compile-once circuit layer
         (:mod:`repro.circuits.compiled`) builds one such matrix per
         level so all same-layout cells of the level -- MAJ3 and XOR2
-        alike -- evaluate as a single complex GEMM.  ``backend``
-        (default: the process default) fixes the stacked matrix's
-        complex dtype so it matches the per-operation blocks it packs.
-        The returned array is frozen; derive, don't mutate.
+        alike -- evaluate as a single complex GEMM.  The returned array
+        is frozen; derive, don't mutate.
         """
-        backend = backend if backend is not None else get_backend()
         blocks = [np.asarray(b) for b in blocks]
         if not blocks:
             raise SimulationError("no weight blocks supplied")
         n_rows = sum(b.shape[0] for b in blocks)
         n_cols = sum(b.shape[1] for b in blocks)
-        stacked = backend.zeros((n_rows, n_cols), kind="complex")
+        stacked = np.zeros((n_rows, n_cols), dtype=complex)
         row = col = 0
         for block in blocks:
             stacked[row : row + block.shape[0], col : col + block.shape[1]] = (
@@ -516,11 +494,7 @@ class LinearWaveguideModel:
                     "precomputed phasor weights require shared geometry "
                     "across the batch"
                 )
-            # Cast the excitation block so the GEMM runs in the weight
-            # matrix's dtype end to end (no-op on the default backend).
-            excitation = self.backend.cast(
-                batch.amplitude * np.exp(1j * batch.phase), kind="complex"
-            )
+            excitation = batch.amplitude * np.exp(1j * batch.phase)
             return excitation @ weights
         block = np.empty((batch.position.shape[0], len(positions)), dtype=complex)
         for d, (x_d, f_d) in enumerate(zip(positions, frequencies)):

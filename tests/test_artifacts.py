@@ -6,11 +6,10 @@ A daemon warm-starts by compiling netlists before its first request:
 validator the wire uses) and :meth:`CompiledCircuitCache.warm` /
 :meth:`CircuitExecutor.warm` compile it.  Pins that a warmed artifact
 serves bit-identical results to a fresh compile, with zero compile
-misses; that it is never served to bindings of another precision or
-width; that malformed files refuse with a typed
-:mod:`repro.errors` error; and that no executable payload is ever
-deserialised -- a pickle handed to ``--warm`` never runs, and no
-``src/`` module imports ``pickle``.
+misses; that it is never served to bindings of another width; that
+malformed files refuse with a typed :mod:`repro.errors` error; and that
+no executable payload is ever deserialised -- a pickle handed to
+``--warm`` never runs, and no ``src/`` module imports ``pickle``.
 """
 
 import ast
@@ -22,7 +21,6 @@ import pickle
 import pytest
 
 import repro
-from repro.backends import NumpyBackend
 from repro.circuits import (
     CircuitExecutor,
     CompiledCircuitCache,
@@ -98,17 +96,6 @@ class TestSaveLoadRoundTrip:
 
 
 class TestLoadRefusals:
-    def test_wrong_precision_refused(self):
-        """An artifact warmed at float64 is never served to float32."""
-        double = GateBindings(n_bits=N_BITS, backend=NumpyBackend("double"))
-        single = GateBindings(n_bits=N_BITS, backend=NumpyBackend("single"))
-        cache = CompiledCircuitCache(max_entries=4)
-        (warmed,) = cache.warm([xor_pair("p")], double)
-        served = cache.get_or_compile(xor_pair("p"), single)
-        assert served is not warmed
-        assert served.bindings is single
-        assert (cache.hits, cache.misses) == (0, 1)
-
     def test_wrong_n_bits_refused(self):
         narrow = GateBindings(n_bits=N_BITS)
         wide = GateBindings(n_bits=N_BITS * 2)

@@ -473,56 +473,3 @@ class TestConformanceSweep:
         fault = seeded_fault(engine, seed, kind=kind)
         if fault is not None:
             cross_check(engine, batch, faults=[fault])
-
-
-class TestFloat32Conformance:
-    """Circuit-level conformance of the single-precision backend.
-
-    The default-backend classes pin packed/trace execution to the
-    scalar reference at <= 1e-12; here the float32 variant must decode
-    every randomized netlist identically (rounding at ~1e-5 relative
-    never approaches the decode margins) with margins tracking the
-    float64 ground truth at a slack 1e-4 tolerance.
-    """
-
-    TOL32 = 1e-4
-
-    def _engines(self, seed):
-        from repro.backends import NumpyBackend
-        from repro.circuits.library import GateBindings
-
-        netlist = random_netlist(seed=seed)
-        reference = CircuitEngine(netlist, n_bits=N_BITS)
-        bindings = GateBindings(
-            n_bits=N_BITS, backend=NumpyBackend("single")
-        )
-        return netlist, reference, CircuitEngine(netlist, bindings=bindings)
-
-    @pytest.mark.parametrize("seed", FAST_SEEDS)
-    def test_packed_phasor_tracks_float64(self, seed):
-        netlist, engine64, engine32 = self._engines(seed)
-        batch = random_batch(netlist, seed)
-        result64 = engine64.run(batch)
-        result32 = engine32.run(batch)
-        assert result32.outputs == result64.outputs
-        assert result32.outputs == netlist.evaluate_batch(batch)
-        assert result32.failed == result64.failed
-        for name, record in result32.cells.items():
-            ref = result64.cells[name]
-            assert record.bits == ref.bits
-            if record.margins is None:
-                continue
-            np.testing.assert_allclose(
-                record.margins, ref.margins, rtol=self.TOL32, atol=self.TOL32
-            )
-
-    @pytest.mark.parametrize("seed", FAST_SEEDS[:2])
-    def test_trace_decode_agrees_with_float64(self, seed):
-        netlist, engine64, engine32 = self._engines(seed)
-        batch = random_batch(netlist, seed, n_entries=3)
-        result64 = engine64.run(batch, mode="trace")
-        result32 = engine32.run(batch, mode="trace")
-        assert result32.outputs == result64.outputs
-        assert result32.failed == result64.failed
-        for name in result32.cells:
-            assert result32.cells[name].bits == result64.cells[name].bits

@@ -112,30 +112,6 @@ class TestCompileCache:
         result = engine.run(BATCH)
         assert result.outputs == netlist.evaluate_batch(BATCH)
 
-    def test_precision_flip_misses_and_both_serve_correctly(self):
-        """Backend identity is part of the compile key: flipping the
-        precision between runs must recompile (a float32 artifact bakes
-        complex64 weights a float64 caller must never receive), and both
-        artifacts must decode the batch correctly."""
-        from repro.backends import NumpyBackend
-
-        cache = CompiledCircuitCache(max_entries=4)
-        netlist = xor_pair("precision")
-        double = GateBindings(n_bits=N_BITS, backend=NumpyBackend("double"))
-        single = GateBindings(n_bits=N_BITS, backend=NumpyBackend("single"))
-        art64 = cache.get_or_compile(netlist, double)
-        art32 = cache.get_or_compile(netlist, single)
-        assert art32 is not art64
-        assert (cache.hits, cache.misses) == (0, 2)
-        assert len(cache) == 2
-        # Each precision hits its own artifact on re-request.
-        assert cache.get_or_compile(xor_pair("precision2"), double) is art64
-        assert cache.get_or_compile(xor_pair("precision3"), single) is art32
-        assert cache.hits == 2
-        expected = netlist.evaluate_batch(BATCH)
-        assert art64.run(BATCH).outputs == expected
-        assert art32.run(BATCH).outputs == expected
-
     def test_artifact_runs_standalone(self):
         netlist = xor_pair("direct")
         bindings = GateBindings(n_bits=N_BITS)

@@ -322,88 +322,3 @@ class TestBatchedGateEquivalence:
         patterns = gate.exhaustive_patterns()[:2]
         with pytest.raises(SimulationError, match="noise models"):
             simulator.run_phasor_batch(patterns, noises=[None])
-
-
-class TestFloat32Workspace:
-    """The single-precision backend against the float64 ground truth.
-
-    The default-backend classes above pin the float64 path at <= 1e-12;
-    this class pins the float32 variant at its documented ~1e-5 relative
-    tolerance (float32 eps accumulated over the fused GEMMs) and checks
-    the workspace buffers genuinely run single-precision.
-    """
-
-    RTOL32 = 1e-5
-
-    def _float32_pair(self, mesh_key, combo):
-        from repro.backends import NumpyBackend
-
-        state64 = _make_state(mesh_key)
-        factories = _term_factories(state64.mesh)
-        terms64 = [factories[name]() for name in combo]
-        workspace64 = LLGWorkspace(state64.mesh, state64.material, terms64)
-
-        state32 = _make_state(mesh_key)
-        state32.m = state32.m.astype(np.float32)
-        backend = NumpyBackend("single")
-        term_factories32 = dict(_term_factories(state32.mesh))
-        term_factories32["demag"] = lambda: DemagField(
-            state32.mesh, backend=backend
-        )
-        terms32 = [term_factories32[name]() for name in combo]
-        workspace32 = LLGWorkspace(
-            state32.mesh, state32.material, terms32, backend=backend
-        )
-        return (state64, workspace64), (state32, workspace32)
-
-    @pytest.mark.parametrize(
-        "combo",
-        [
-            ("exchange", "anisotropy", "thinfilm"),
-            ("exchange", "anisotropy", "thinfilm", "zeeman", "demag"),
-        ],
-        ids="+".join,
-    )
-    def test_effective_field_tracks_float64(self, combo):
-        pair64, pair32 = self._float32_pair("film", combo)
-        state64, workspace64 = pair64
-        state32, workspace32 = pair32
-        reference = workspace64.effective_field_into(state64, 0.0).copy()
-        fused = workspace32.effective_field_into(state32, 0.0)
-        assert fused.dtype == np.float32
-        scale = max(float(np.max(np.abs(reference))), 1.0)
-        np.testing.assert_allclose(
-            fused, reference, rtol=0, atol=self.RTOL32 * scale
-        )
-
-    def test_rk4_step_tracks_float64(self):
-        combo = ("exchange", "anisotropy", "thinfilm")
-        pair64, pair32 = self._float32_pair("film", combo)
-        state64, workspace64 = pair64
-        state32, workspace32 = pair32
-        dt = 1e-13
-        out64 = rk4_step_into(
-            workspace64.bound_rhs(state64), 0.0, state64.m.copy(), dt,
-            workspace64.rk,
-        )
-        out32 = rk4_step_into(
-            workspace32.bound_rhs(state32), 0.0, state32.m.copy(), dt,
-            workspace32.rk,
-        )
-        assert out32.dtype == np.float32
-        np.testing.assert_allclose(
-            out32, out64, rtol=0, atol=self.RTOL32
-        )
-
-    def test_workspace_buffers_are_float32(self):
-        from repro.backends import NumpyBackend
-
-        state = _make_state("film")
-        workspace = LLGWorkspace(
-            state.mesh, state.material,
-            [ExchangeField(), UniaxialAnisotropyField(), ThinFilmDemagField()],
-            backend=NumpyBackend("single"),
-        )
-        assert workspace.h.dtype == np.float32
-        assert workspace.rk.k_matrix.dtype == np.float32
-        assert workspace.rk.rk4_b.dtype == np.float32

@@ -111,6 +111,21 @@ class TestAutoLayout:
         assert layout.multipliers[0] >= 3
         layout.validate()
 
+    def test_dense_plan_places_past_a_full_search_window(
+        self, paper_waveguide
+    ):
+        """Regression: three close low channels filled the start-offset
+        window, so the sixth channel raised ``LayoutError``; it now goes
+        past every placed transducer."""
+        plan = FrequencyPlan([
+            85657425097.23811, 43525942202.56221, 50027262300.0,
+            8000000000.0, 8820000002.0, 8400000001.0,
+        ])
+        layout = InlineGateLayout(paper_waveguide, plan, n_inputs=5)
+        layout.validate()
+        last_source = max(max(row) for row in layout.source_positions)
+        assert all(p > last_source for p in layout.detector_positions)
+
     def test_more_inputs_longer_gate(self, paper_waveguide):
         plan = FrequencyPlan([10 * GHZ])
         short = InlineGateLayout(paper_waveguide, plan, n_inputs=3)

@@ -517,77 +517,3 @@ class TestTraceGeometryBranches:
             rtol=0,
             atol=0,
         )
-
-
-# ----------------------------------------------------------------------
-# Single-precision backend
-# ----------------------------------------------------------------------
-
-
-class TestFloat32Equivalence:
-    """The float32 backend against the float64 pinned ground truth.
-
-    The classes above pin the float64 fast paths at <= 1e-12; the
-    single-precision variant promises its documented ~1e-5 relative
-    tolerance (see :mod:`repro.backends`) with identical decodes --
-    float32 rounding must never flip a bit through the 0.1-1.0 rad
-    decode margins.
-    """
-
-    TOL32 = 1e-5
-
-    def _simulators(self, kind, n_bits, inverted):
-        from repro.backends import NumpyBackend
-        from repro.waveguide.linear_model import LinearWaveguideModel
-
-        gate = make_gate(kind, n_bits, inverted)
-        reference = GateSimulator(gate)
-        model32 = LinearWaveguideModel(
-            gate.layout.waveguide, backend=NumpyBackend("single")
-        )
-        return gate, reference, GateSimulator(gate, model=model32)
-
-    @pytest.mark.parametrize("kind,n_bits,inverted", GATE_CASES[:4])
-    def test_phasor_batch_tracks_float64(self, kind, n_bits, inverted):
-        gate, reference, single = self._simulators(kind, n_bits, inverted)
-        patterns = gate.exhaustive_patterns()
-        runs64 = reference.run_phasor_batch(patterns)
-        runs32 = single.run_phasor_batch(patterns)
-        for run64, run32 in zip(runs64, runs32):
-            assert run32.decoded == run64.decoded
-            assert run32.expected == run64.expected
-            for fast, ref in zip(run32.decodes, run64.decodes):
-                assert fast.bit == ref.bit
-                assert phase_distance(fast.phase, ref.phase) <= self.TOL32
-                assert fast.amplitude == pytest.approx(
-                    ref.amplitude, rel=self.TOL32, abs=self.TOL32
-                )
-
-    def test_phasor_weights_are_complex64_and_close(self):
-        from repro.backends import NumpyBackend
-        from repro.waveguide.linear_model import LinearWaveguideModel
-
-        gate = make_gate(GateKind.MAJORITY, 2, (False, True))
-        layout = gate.layout
-        bank = GateSimulator(gate).build_source_bank(
-            gate.exhaustive_patterns()[:2]
-        )
-        position, frequency = bank.position[0], bank.frequency[0]
-        model64 = LinearWaveguideModel(layout.waveguide)
-        model32 = LinearWaveguideModel(
-            layout.waveguide, backend=NumpyBackend("single")
-        )
-        w64 = model64.phasor_weights(
-            position, frequency, layout.detector_positions,
-            layout.plan.frequencies,
-        )
-        w32 = model32.phasor_weights(
-            position, frequency, layout.detector_positions,
-            layout.plan.frequencies,
-        )
-        assert w64.dtype == np.complex128
-        assert w32.dtype == np.complex64
-        scale = max(float(np.max(np.abs(w64))), 1.0)
-        np.testing.assert_allclose(
-            w32.astype(complex), w64, rtol=0, atol=self.TOL32 * scale
-        )

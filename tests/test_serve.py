@@ -228,6 +228,59 @@ class TestErrorMapping:
             status = error.code
         assert status == 400
 
+    @staticmethod
+    def _raw_post(server, headers, body):
+        """POST over a raw socket; ``(status, error dict)`` within 1 s."""
+        import socket
+        from urllib.parse import urlsplit
+
+        url = urlsplit(server.url)
+        head = "".join(f"{name}: {value}\r\n" for name, value in headers)
+        request = (
+            f"POST /v1/run HTTP/1.1\r\nHost: {url.hostname}\r\n{head}\r\n"
+        ).encode("ascii") + body
+        with socket.create_connection((url.hostname, url.port)) as sock:
+            sock.settimeout(1.0)
+            sock.sendall(request)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)
+                assert chunk, f"connection closed with no reply: {reply!r}"
+                reply += chunk
+            header_block, _, payload = reply.partition(b"\r\n\r\n")
+            lines = header_block.decode("latin-1").split("\r\n")
+            length = next(
+                int(line.split(":", 1)[1]) for line in lines[1:]
+                if line.lower().startswith("content-length:")
+            )
+            while len(payload) < length:
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed mid-body"
+                payload += chunk
+        return int(lines[0].split()[1]), json.loads(payload)["error"]
+
+    def test_negative_content_length_is_http_400(self, server):
+        """Regression: ``rfile.read(-1)`` blocked until the client hung
+        up, so a negative length never got a reply."""
+        status, error = self._raw_post(
+            server, [("Content-Length", "-1")], b"{}"
+        )
+        assert status == 400
+        assert error["type"] == "NetlistError"
+        assert "Content-Length" in error["message"]
+
+    def test_deeply_nested_json_body_is_http_400(self, server):
+        """Regression: a 100k-deep array raised ``RecursionError`` out of
+        ``json.loads`` and the client got an empty reply."""
+        body = b"[" * 100_000
+        status, error = self._raw_post(
+            server, [("Content-Length", str(len(body)))], body
+        )
+        assert status == 400
+        assert error["type"] == "NetlistError"
+        # The daemon still serves after the rejected body.
+        assert ServeClient(server.url).healthz()["status"] == "ok"
+
     def test_unknown_route_is_http_404(self, client):
         status, _ = client._request("GET", "/nope")
         assert status == 404
@@ -297,7 +350,7 @@ class TestIntrospection:
         assert health["protocol"] == 1
         assert health["n_bits"] == N_BITS
         assert health["uptime_s"] >= 0
-        assert health["backend"] == server.executor.bindings.backend.tag
+        assert "backend" not in health
 
     def test_stats_expose_executor_counters(self, client):
         client.run(xor_pair("s"), BATCH)
@@ -586,7 +639,7 @@ def _monitor_sample(t, counters, histograms=None):
     return {
         "t": t,
         "healthz": {
-            "backend": "numpy64", "n_bits": 2, "uptime_s": t,
+            "n_bits": 2, "uptime_s": t,
             "pending_words": 0,
         },
         "stats": {},
