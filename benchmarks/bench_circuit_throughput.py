@@ -17,8 +17,11 @@ packed row beating first-run compile+execute -- stays on the scoreboard.
 
 The time-domain pair repeats the comparison for ``mode="trace"``
 (waveform generation + lock-in decode) on the full adder: packed
-levels run through the memoised carrier-basis GEMM of ``run_batch``,
+levels run one GEMM against the fused trace demodulation matrices,
 the scalar reference simulates one full ``run`` per (cell, group).
+``mode="trace-packed"`` serves the rca4 batch-of-8 sweep in trace mode
+through :meth:`CircuitExecutor.run`, the row to set against the
+phasor ``packed`` row.
 
 Each bench records circuit name, logic depth, batch geometry, ``mode``
 and a ``words_per_second`` metric in its ``extra_info`` (snapshotted by
@@ -233,15 +236,14 @@ def test_obs_disabled_overhead(benchmark, adder_setup):
 def trace_setup():
     """A warmed full-adder engine plus one word group for trace mode.
 
-    Trace execution simulates every waveform, so the bench uses the
-    depth-2 full adder at the byte width with a single word group --
-    enough to exercise the carrier-basis GEMM without dominating the
-    bench session.
+    The scalar trace reference simulates every waveform, so the pair
+    uses the depth-2 full adder at the byte width with a single word
+    group, keeping the reference row from dominating the bench session.
     """
     netlist, _, _ = full_adder()
     engine = CircuitEngine(netlist, n_bits=N_BITS)
     batch = _adder_batch_named(netlist, N_BITS)
-    # Warm layouts, calibrations and the memoised carrier bases.
+    # Warm layouts, calibrations and the trace demodulation matrices.
     engine.run_trace_batch(batch)
     return engine, netlist, batch
 
@@ -269,6 +271,18 @@ def test_engine_trace_scalar_throughput(benchmark, trace_setup):
     result = benchmark(engine.run_scalar, batch, mode="trace")
     assert result.correct
     _record(benchmark, engine, netlist, batch, "trace-scalar")
+
+
+def test_executor_trace_throughput(benchmark, adder_setup):
+    """64-word rca4 trace batches through ``CircuitExecutor.run``."""
+    from repro.circuits import CircuitExecutor
+
+    engine, netlist, batch = adder_setup
+    executor = CircuitExecutor(bindings=engine.bindings)
+    executor.run(netlist, batch, mode="trace")  # compile + trace matrices
+    result = benchmark(executor.run, netlist, batch, mode="trace")
+    assert result.correct
+    _record(benchmark, engine, netlist, batch, "trace-packed")
 
 
 def test_engine_fault_sweep_throughput(benchmark, adder_setup):

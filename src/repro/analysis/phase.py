@@ -36,18 +36,36 @@ def lock_in(t, signal, frequency, t_start=0.0, t_stop=None):
             "t must be 1-D and signal 1-D or (n_traces, n_samples) with "
             "a matching sample axis"
         )
+    index, reference, dt, duration = lock_in_window(
+        t, frequency, t_start=t_start, t_stop=t_stop
+    )
+    integral = signal[..., index] @ reference * dt
+    return 2.0 * integral / duration
+
+
+def lock_in_window(t, frequency, t_start=0.0, t_stop=None):
+    """The analysis window and reference :func:`lock_in` integrates over.
+
+    Returns ``(index, reference, dt, duration)``: the sample indices of
+    the integer-period window, the ``exp(-i*2*pi*f*t)`` reference on
+    them, the sample spacing and the window length, so that
+    ``lock_in(t, s, f) == 2 * (s[..., index] @ reference * dt) /
+    duration``.  Linear demodulators (the fused trace matrices of
+    :meth:`~repro.core.simulate.GateSimulator.trace_demodulation`) fold
+    this reference into precomputed products.
+    """
+    t = np.asarray(t, dtype=float)
     if frequency <= 0:
         raise ReadoutError(f"frequency must be positive, got {frequency!r}")
     if t_stop is None:
         t_stop = t[-1]
-    mask = (t >= t_start) & (t <= t_stop)
-    if mask.sum() < 8:
+    index = np.flatnonzero((t >= t_start) & (t <= t_stop))
+    if index.size < 8:
         raise ReadoutError(
             f"analysis window [{t_start:.4g}, {t_stop:.4g}] s holds fewer "
             "than 8 samples"
         )
-    tw = t[mask]
-    sw = signal[..., mask]
+    tw = t[index]
     # Truncate to an integer number of periods.
     period = 1.0 / frequency
     n_periods = int((tw[-1] - tw[0]) / period)
@@ -58,13 +76,12 @@ def lock_in(t, signal, frequency, t_start=0.0, t_stop=None):
         )
     t_end = tw[0] + n_periods * period
     keep = tw <= t_end
+    index = index[keep]
     tw = tw[keep]
-    sw = sw[..., keep]
     reference = np.exp(-2j * np.pi * frequency * tw)
     dt = tw[1] - tw[0]
-    integral = sw @ reference * dt
     duration = tw[-1] - tw[0] + dt
-    return 2.0 * integral / duration
+    return index, reference, dt, duration
 
 
 def phase_at(t, signal, frequency, t_start=0.0, t_stop=None):

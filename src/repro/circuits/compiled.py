@@ -13,7 +13,7 @@ blocks against it:
   of every operation sharing a level are block-stacked
   (:meth:`~repro.waveguide.LinearWaveguideModel.block_stack_weights`)
   so all same-layout physical cells of the level -- MAJ3 and XOR2 alike
-  -- evaluate as **one** complex GEMM per level in phasor mode;
+  -- evaluate as **one** GEMM per level in either mode;
 * precomputed INV/BUF masks: all free cells of a level resolve as one
   vectorised ``np.where`` over buffer rows;
 * baked-in nominal calibration rows, phase LUTs and amplitude rows per
@@ -33,13 +33,13 @@ pinned to the scalar reference :meth:`CircuitEngine.run_scalar
 (noise first, then the victim column), identical dead-decode marking
 and strict-mode error messages.  Phasor bits are exact and margins
 agree to ~1e-15 (the only difference is BLAS reassociation over the
-packed k-dimension); trace mode feeds
-:meth:`~repro.core.simulate.GateSimulator.run_batch` from ndarray
-gathers with per-row noise models, so it shares the time-domain physics
-verbatim -- placement noise included.  Phasor-mode placement noise is
-the one configuration the artifact refuses: its GEMM bakes nominal
-weights in.  ``tests/test_circuit_conformance.py`` pins both modes
-against the scalar reference to <= 1e-12.
+packed k-dimension); trace mode swaps in each operation's fused trace
+demodulation matrix
+(:meth:`~repro.core.simulate.GateSimulator.trace_demodulation`), whose
+GEMM yields the lock-in phasors of never-built waveforms.  Placement
+noise is the one configuration the artifact refuses: its GEMMs bake the
+nominal geometry in.  ``tests/test_circuit_conformance.py`` pins both
+modes against the scalar reference to <= 1e-12.
 
 Artifacts live in process memory only and key on
 :func:`netlist_signature` (a content hash of the DAG plus outputs) --
@@ -67,7 +67,7 @@ from repro.circuits.engine import (
 )
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.circuits.netlist import Netlist
-from repro.core.readout import decode_phasor_block
+from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
 from repro.errors import NetlistError, SimulationError
 from repro.waveguide.linear_model import LinearWaveguideModel
 
@@ -106,7 +106,7 @@ class _LevelPlan:
 
     __slots__ = (
         "level", "n_cells", "n_physical", "v_names", "v_src", "v_out",
-        "v_invert", "ops", "weights", "n_sources",
+        "v_invert", "ops", "weights", "trace_weights", "n_sources",
     )
 
     def __init__(self, level, n_cells):
@@ -119,6 +119,7 @@ class _LevelPlan:
         self.v_invert = None
         self.ops = []
         self.weights = None
+        self.trace_weights = None
         self.n_sources = 0
 
 
@@ -205,9 +206,8 @@ class CompiledCircuit:
         self._value_buffers = {}
         self._failed_buffers = {}
         self._excite_buffers = {}
-        # (operation, fault) -> FaultySimulator / calibration arrays
-        # (None when the faulted calibration cannot decode at all).
-        self._faulty_sims = {}
+        # (operation, fault) -> calibration arrays (None when the
+        # faulted calibration cannot decode at all).
         self._faulty_cal = {}
 
     @property
@@ -386,28 +386,20 @@ class CompiledCircuit:
             self._excite_buffers[key] = excite
         return excite
 
-    def _fault_simulator(self, operation, fault):
-        """Cached FaultySimulator (validates the fault's coordinates)."""
-        key = (operation, fault)
-        simulator = self._faulty_sims.get(key)
-        if simulator is None:
-            simulator = self.bindings.faulty_simulator(operation, fault)
-            self._faulty_sims[key] = simulator
-        return simulator
-
     def _fault_calibration(self, operation, fault):
         """Per-(operation, fault) calibration rows; None when undecodable.
 
         Faulted calibration *includes* the fault (the inherited
         calibration path builds the zero-word bank and mutates it), so a
-        fault that silences the all-zeros reference -- e.g. stuck-phase-1
-        on an XOR2 input -- yields None here and every row of that cell
-        decodes dead, exactly like the scalar reference's per-entry
-        calibration failure.
+        fault that silences the all-zeros reference exactly on some
+        channel yields None here and every row of that cell decodes
+        dead, exactly like the scalar reference's per-entry calibration
+        failure.
         """
         key = (operation, fault)
         if key not in self._faulty_cal:
-            simulator = self._fault_simulator(operation, fault)
+            # Constructing the simulator validates the fault coordinates.
+            simulator = self.bindings.faulty_simulator(operation, fault)
             try:
                 self._faulty_cal[key] = simulator.calibration_arrays()
             except SimulationError:
@@ -496,20 +488,13 @@ class CompiledCircuit:
                 )
             op_data = []
             if plan.ops:
-                if mode == "trace":
-                    with registry.span("circuit/level/trace"):
-                        self._execute_level_trace(
-                            plan, buf, failed, n_groups, n_valid, contexts,
-                            group_faults, op_data, dead_meta,
-                        )
-                else:
-                    registry.inc("circuit.level_gemms")
-                    with registry.span("circuit/level/phasor"):
-                        self._execute_level_phasor(
-                            level_index, plan, buf, failed, n_groups,
-                            n_valid, contexts, group_faults, draws, op_data,
-                            dead_meta,
-                        )
+                registry.inc("circuit.level_gemms")
+                with registry.span(f"circuit/level/{mode}"):
+                    self._execute_level(
+                        level_index, plan, mode, buf, failed, n_groups,
+                        n_valid, contexts, group_faults, draws, op_data,
+                        dead_meta,
+                    )
             level_data.append(op_data)
         return _PackedRun(
             n_groups=n_groups,
@@ -520,14 +505,50 @@ class CompiledCircuit:
             dead_meta=dead_meta,
         )
 
-    def _execute_level_phasor(self, level_index, plan, buf, failed, n_groups,
-                              n_valid, contexts, group_faults, draws,
-                              op_data, dead_meta):
-        """One cross-op packed GEMM evaluates every physical cell."""
+    def _trace_weights(self, plan):
+        """The level's real trace-mode GEMM operand, built on first use.
+
+        Each operation's ``trace_demodulation()`` matrix (memoised on the
+        bindings' simulator, so compile-cache churn never rebuilds it)
+        gets its sine and cosine rows interleaved to meet the ``(re,
+        im)`` columns of ``excite.view(float)``; the block-stacked
+        result is viewed as float so the product views back to complex.
+        """
+        if plan.trace_weights is None:
+            blocks = []
+            for op in plan.ops:
+                matrix = self.bindings.simulator(
+                    op.operation
+                ).trace_demodulation()
+                blocks.append(
+                    matrix.reshape(2, -1, self.n_bits)
+                    .transpose(1, 0, 2)
+                    .reshape(matrix.shape)
+                )
+            plan.trace_weights = LinearWaveguideModel.block_stack_weights(
+                blocks
+            ).view(float)
+        return plan.trace_weights
+
+    def _execute_level(self, level_index, plan, mode, buf, failed, n_groups,
+                       n_valid, contexts, group_faults, draws, op_data,
+                       dead_meta):
+        """One cross-op packed GEMM evaluates every physical cell.
+
+        Both modes share the excitation, its noise and fault mutations
+        and the calibration rows.  Trace mode multiplies by
+        :meth:`_trace_weights` instead of the propagation weights, adds
+        additive trace noise (:meth:`_add_trace_noise`) and keeps the
+        lock-in decoder's dead rule (a phase-readout carrier under
+        :data:`~repro.core.readout.MIN_AMPLITUDE_RATIO` of its
+        reference).
+        """
+        trace = mode == "trace"
         n_bits = self.n_bits
         padded = n_groups * n_bits
         excite = self._excite_buffer(level_index, plan, n_groups)
         jobs = []
+        trace_noise = []
         row_offset = 0
         for op_index, op in enumerate(plan.ops):
             n_cells, n_inputs = op.n_cells, op.n_inputs
@@ -560,6 +581,8 @@ class CompiledCircuit:
                         noise = self._derived_noise(
                             contexts[group], physical_index
                         )
+                        if trace and noise is not None and noise.trace_sigma:
+                            trace_noise.append((op, row_offset + row, noise))
                         if noise is not None and noise.perturbs_sources:
                             # Keyed by arity too: derived seeds can
                             # collide across coalesced requests with
@@ -615,7 +638,16 @@ class CompiledCircuit:
             jobs.append((op_index, op, row_offset, rows, row_refs,
                          forced_dead))
             row_offset += rows
-        phasors = excite @ plan.weights
+        dead_rule = {}
+        if trace:
+            phasors = (excite.view(float) @ self._trace_weights(plan)).view(
+                complex
+            )
+            if trace_noise:
+                self._add_trace_noise(phasors, trace_noise, draws)
+            dead_rule["min_amplitude_ratio"] = MIN_AMPLITUDE_RATIO
+        else:
+            phasors = excite @ plan.weights
         for op_index, op, row_start, rows, row_refs, forced_dead in jobs:
             block = phasors[
                 row_start : row_start + rows,
@@ -627,7 +659,7 @@ class CompiledCircuit:
                 ref_phases, ref_amps = row_refs
             bits, _, amplitudes, margins, dead = decode_phasor_block(
                 block, ref_phases, ref_amps,
-                amplitude_readout=op.amplitude_readout,
+                amplitude_readout=op.amplitude_readout, **dead_rule,
             )
             dead_rows = dead.any(axis=1)
             if forced_dead is not None:
@@ -656,82 +688,29 @@ class CompiledCircuit:
                 dead_rows.reshape(op.n_cells, n_groups),
             ))
 
-    def _execute_level_trace(self, plan, buf, failed, n_groups, n_valid,
-                             contexts, group_faults, op_data, dead_meta):
-        """Waveform execution per (level, op) on ndarray gathers.
-
-        Per-gate time grids differ, so trace mode cannot cross-op pack;
-        instead each operation's (cell, group) rows partition by fault
-        and run through the array-native
-        :meth:`~repro.core.simulate.GateSimulator.run_batch` -- the same
-        physics as the scalar reference, fed straight from the value
-        buffer with one noise model per row (placement noise included).
-        """
-        n_bits = self.n_bits
-        for op_index, op in enumerate(plan.ops):
-            n_cells, n_inputs = op.n_cells, op.n_inputs
-            rows = n_cells * n_groups
-            entries_all = (
-                buf[op.fanin_slots]
-                .reshape(n_cells, n_inputs, n_groups, n_bits)
-                .transpose(0, 2, 1, 3)
-                .reshape(rows, n_inputs, n_bits)
+    def _add_trace_noise(self, phasors, trace_noise, draws):
+        """Add the lock-in of each ``(op, row, noise)`` entry's one
+        :meth:`~repro.waveguide.NoiseModel.trace_perturbation` row (the
+        realisation every channel of the scalar trace sees) to its
+        phasors."""
+        by_op = {}
+        for op, row, noise in trace_noise:
+            by_op.setdefault(op, []).append((row, noise))
+        for op, entries in by_op.items():
+            n_samples, start, lock_in = self.bindings.simulator(
+                op.operation
+            ).trace_noise_demodulation()
+            samples = np.empty((len(entries), lock_in.shape[0]))
+            for i, (_, noise) in enumerate(entries):
+                draw_key = (noise, "trace", n_samples)
+                if draw_key not in draws:
+                    draws[draw_key] = noise.trace_perturbation(n_samples)
+                samples[i] = draws[draw_key][start : start + len(lock_in)]
+            rows = [row for row, _ in entries]
+            columns = slice(op.det_offset, op.det_offset + self.n_bits)
+            phasors[rows, columns] += (samples @ lock_in.view(float)).view(
+                complex
             )
-            margins = np.full((n_cells, n_groups, n_bits), math.nan)
-            amplitudes = np.full((n_cells, n_groups, n_bits), math.nan)
-            dead_rows = np.zeros((n_cells, n_groups), dtype=bool)
-            jobs = {}
-            for cell_index, name in enumerate(op.names):
-                for group in range(n_groups):
-                    fault = group_faults[group].get(name)
-                    jobs.setdefault(fault, []).append((cell_index, group))
-            keys = list(jobs)
-            if None in jobs:
-                keys.remove(None)
-                keys.insert(0, None)
-            for fault in keys:
-                pairs = jobs[fault]
-                if fault is None:
-                    simulator = self.bindings.simulator(op.operation)
-                else:
-                    simulator = self._fault_simulator(op.operation, fault)
-                if len(pairs) == rows:
-                    entries = entries_all
-                else:
-                    entries = entries_all[
-                        np.array([c * n_groups + g for c, g in pairs])
-                    ]
-                noises = [
-                    self._derived_noise(contexts[g], op.physical_indices[c])
-                    for c, g in pairs
-                ]
-                if all(noise is None for noise in noises):
-                    noises = None
-                runs = simulator.run_batch(
-                    np.ascontiguousarray(entries), noises=noises,
-                    strict=False,
-                )
-                for (cell_index, group), run in zip(pairs, runs):
-                    window = slice(group * n_bits, (group + 1) * n_bits)
-                    if run is None:
-                        failed[
-                            group * n_bits : group * n_bits + n_valid[group]
-                        ] = True
-                        buf[op.out_slots[cell_index], window] = 0
-                        dead_rows[cell_index, group] = True
-                        dead_meta.append((
-                            plan.level, op_index, fault is not None,
-                            cell_index, group, op.names[cell_index],
-                        ))
-                        continue
-                    buf[op.out_slots[cell_index], window] = run.decoded
-                    margins[cell_index, group] = [
-                        d.margin for d in run.decodes
-                    ]
-                    amplitudes[cell_index, group] = [
-                        d.amplitude for d in run.decodes
-                    ]
-            op_data.append((op, margins, amplitudes, dead_rows))
 
     # ------------------------------------------------------------------
     # Result construction
@@ -847,9 +826,9 @@ class CompiledCircuit:
         Same contract as :meth:`CircuitEngine.run`, which routes here
         whenever the artifact can run the configuration.  Raises
         :class:`~repro.errors.SimulationError` for the two it cannot: an
-        unpackable artifact, and placement noise in phasor mode (the
-        packed GEMM bakes nominal weights in) -- the engine runs both
-        through :meth:`CircuitEngine.run_scalar` instead.
+        unpackable artifact, and placement noise (per-row geometry, while
+        both modes' GEMMs bake the nominal geometry in) -- the engine
+        runs both through :meth:`CircuitEngine.run_scalar` instead.
         """
         check_mode(mode)
         if not self.packable:
@@ -857,11 +836,10 @@ class CompiledCircuit:
                 f"netlist {self.netlist.name!r} is not packable: "
                 f"{self.unpackable_reason}"
             )
-        placed = noise is not None and noise.position_sigma > 0
-        if placed and mode == "phasor":
+        if noise is not None and noise.position_sigma > 0:
             raise SimulationError(
                 "per-entry placement noise perturbs the source geometry; "
-                "the packed phasor path bakes nominal weights in -- use "
+                "the packed path bakes the nominal geometry in -- use "
                 "CircuitEngine.run or run_scalar"
             )
         block = self.netlist.input_block(assignments_batch)
@@ -889,13 +867,13 @@ def compile_circuit(netlist, bindings, registry=None):
 
 
 class CompiledCircuitCache:
-    """LRU cache of compiled artifacts keyed by netlist signature.
+    """LRU cache of compiled artifacts keyed by netlist and physics.
 
-    One cache serves one :class:`~repro.circuits.library.GateBindings`
-    family (the executor owns cache and bindings together): the key is
-    ``(signature, n_bits)``, so equal netlists compiled at one width
-    share an artifact while the physics configuration stays implicit in
-    the owner's bindings.
+    The key is ``(signature, bindings.physics_key())``: equal netlists
+    compiled onto bindings of equal content (width, waveguide fields,
+    transducer) share an artifact, and an artifact is never served to
+    bindings of other physics -- even through a cache shared by several
+    bindings.
 
     Hit/miss/eviction counts live on a :class:`~repro.obs.MetricsRegistry`
     (``obs``; the executor shares its own so one snapshot covers serving
@@ -942,9 +920,9 @@ class CompiledCircuitCache:
     def get_or_compile(self, netlist, bindings):
         """The cached artifact of ``netlist``, compiling on first sight.
 
-        The key includes the bindings' width: an artifact bakes one
-        ``n_bits`` into its weights and buffers, so it is never served
-        to bindings of another width.
+        The key includes the bindings' physics by content: an artifact
+        bakes one width, waveguide and transducer into its weights and
+        buffers, so it is never served to bindings that differ in any.
         """
         key = self._key(netlist, bindings)
         artifact = self._entries.get(key)
@@ -985,7 +963,7 @@ class CompiledCircuitCache:
 
     @staticmethod
     def _key(netlist, bindings):
-        return (netlist_signature(netlist), bindings.n_bits)
+        return (netlist_signature(netlist), bindings.physics_key())
 
     def _insert(self, key, artifact):
         """Store ``artifact`` as most recent, evicting past the bound."""

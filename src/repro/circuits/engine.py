@@ -29,19 +29,18 @@ A netlist runs one of two ways:
 * :meth:`CircuitEngine.run_scalar` -- the reference: one
   ``run_phasor`` (or, in trace mode, one full ``run``) call per
   (cell, group).  ``run`` also routes here for the configurations the
-  artifact cannot reproduce: placement noise in phasor mode and a cell
-  that fails calibration.
+  artifact cannot reproduce: placement noise and a cell that fails
+  calibration.
 
 Two execution *modes* share this schedule.  The default ``"phasor"``
 mode evaluates steady-state phasors only; ``"trace"`` mode
 (:meth:`CircuitEngine.run_trace_batch`, or ``run(mode="trace")``) runs
-the full waveform physics instead: every (cell, group) pair generates
-time-domain detector traces
-(:meth:`~repro.core.simulate.GateSimulator.run_batch` on the fast path)
-and decodes them by lock-in demodulation over the settled analysis
-window -- so propagation delay, causal wavefronts and finite-window
-phase estimation are all part of circuit execution, not just of
-single-gate studies.  Both modes share the fault plumbing, the
+the full waveform physics instead: every (cell, group) pair decodes
+its detector traces by lock-in over the settled analysis window -- so
+propagation delay, causal wavefronts and finite-window phase
+estimation are all part of circuit execution (the fast path through
+the fused :meth:`~repro.core.simulate.GateSimulator.trace_demodulation`
+matrix, without building a waveform).  Both modes share the fault plumbing, the
 per-(cell, group) noise seeding and the per-level decode-margin
 reports; ``tests/test_circuit_conformance.py`` pins all four semantics
 (Boolean, scalar cascade, packed phasor, packed trace) against each
@@ -386,15 +385,14 @@ class CircuitEngine:
             ``failed`` and a regenerated 0 propagates onward.
         mode:
             ``"phasor"`` (default) evaluates steady-state phasors;
-            ``"trace"`` runs the full time-domain waveform physics --
-            every (cell, group) generates detector traces and decodes
-            them by lock-in over the settled window
-            (:meth:`~repro.core.simulate.GateSimulator.run_batch`).
+            ``"trace"`` decodes every (cell, group) by lock-in of its
+            detector traces over the settled window (the time-domain
+            physics, composed into one matrix per gate).
 
         The batch executes through the compile-once artifact
-        (:meth:`compiled`): one cross-op GEMM per level in phasor mode,
+        (:meth:`compiled`): one cross-op GEMM per level in either mode,
         preallocated buffers, zero per-run Python-list churn.  Placement
-        noise in phasor mode and an artifact whose cells fail
+        noise (per-row geometry) and an artifact whose cells fail
         calibration run through :meth:`run_scalar` instead.
 
         Returns a :class:`CircuitRunResult`.  Decoded (possibly wrong)
@@ -404,7 +402,7 @@ class CircuitEngine:
         """
         artifact = self.compiled()
         placed = noise is not None and noise.position_sigma > 0
-        if not artifact.packable or (placed and mode == "phasor"):
+        if placed or not artifact.packable:
             return self.run_scalar(
                 assignments_batch, faults=faults, noise=noise,
                 strict=strict, mode=mode,

@@ -3,9 +3,9 @@
 A :class:`CircuitExecutor` serves *many* logical circuit-evaluation
 requests -- potentially over many distinct netlists -- from one shared
 :class:`~repro.circuits.library.GateBindings` (one waveguide model, one
-gate template and one memoised weight/basis cache per operation) and
-one :class:`~repro.circuits.compiled.CompiledCircuitCache` of packed
-artifacts.
+gate template and one memoised weight and trace demodulation matrix per
+operation) and one :class:`~repro.circuits.compiled.CompiledCircuitCache`
+of packed artifacts.
 
 Requests enter through :meth:`CircuitExecutor.submit`, which returns an
 :class:`ExecutionTicket` immediately; the executor **coalesces** queued
@@ -32,12 +32,11 @@ threads may submit concurrently; tickets resolve through a
 ``threading.Event`` and can be awaited without forcing a flush
 (:meth:`ExecutionTicket.result` with ``timeout``).
 Placement-noise requests skip coalescing and are served eagerly as
-*fallbacks*: in trace mode as a one-tenant artifact block (each row's
-geometry is drawn inside ``run_batch``), in phasor mode through the
-scalar reference :meth:`~repro.circuits.engine.CircuitEngine.run_scalar`
-(the packed GEMM bakes nominal weights in).  A netlist whose artifact
-cannot calibrate also runs the scalar reference, which raises the
-calibration failure lazily.
+*fallbacks* through the scalar reference
+:meth:`~repro.circuits.engine.CircuitEngine.run_scalar`: each row's
+geometry differs, while the packed GEMMs of both modes bake the nominal
+geometry in.  A netlist whose artifact cannot calibrate also runs the
+scalar reference, which raises the calibration failure lazily.
 
 >>> from repro.circuits.netlist import Netlist
 >>> netlist = Netlist("demo")
@@ -224,7 +223,7 @@ class CircuitExecutor:
         Forwarded to a fresh :class:`~repro.circuits.library.GateBindings`
         when ``bindings`` is not supplied -- every circuit this executor
         serves shares that one physics configuration (and therefore its
-        memoised propagation weights and trace bases).
+        memoised propagation weights and trace demodulation matrices).
     bindings:
         An existing bindings object to share (e.g. with engines built
         elsewhere).
@@ -519,7 +518,7 @@ class CircuitExecutor:
                     )
                 if not artifact.packable:
                     for request in requests:
-                        self._run_fallback(request, mode, artifact)
+                        self._run_fallback(request, mode)
                     return
                 if tracing:
                     execute_started = time.perf_counter()
@@ -611,13 +610,11 @@ class CircuitExecutor:
                     result.trace = trace
                 request.ticket._resolve(result=result, trace=trace)
 
-    def _run_fallback(self, request, mode, artifact=None):
-        """Serve one request eagerly, outside coalescing.
+    def _run_fallback(self, request, mode):
+        """Serve one request eagerly through the scalar reference.
 
-        Trace mode runs a one-tenant block of ``artifact`` (looked up
-        when not given): ``run_batch`` takes a noise model per row, so
-        placement noise rides the compiled path.  Phasor-mode placement
-        noise and an unpackable artifact run the scalar reference.
+        Placement noise (per-row geometry) and an unpackable artifact
+        take this path in either mode.
         """
         self.obs.inc("executor.fallbacks")
         trace = request.trace
@@ -626,17 +623,9 @@ class CircuitExecutor:
             execute_started = time.perf_counter()
         with self._lock:
             try:
-                if mode == "trace" and artifact is None:
-                    artifact = self.cache.get_or_compile(
-                        request.netlist, self.bindings
-                    )
-                if mode == "trace" and artifact.packable:
-                    runner = artifact.run
-                else:
-                    runner = CircuitEngine(
-                        request.netlist, bindings=self.bindings
-                    ).run_scalar
-                result = runner(
+                result = CircuitEngine(
+                    request.netlist, bindings=self.bindings
+                ).run_scalar(
                     request.batch,
                     faults=request.faults,
                     noise=request.noise,

@@ -14,7 +14,7 @@ engine (:mod:`repro.circuits.engine`) instantiates per operation, and
 the cell :func:`default_library` prices.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.errors import NetlistError
 
@@ -82,14 +82,15 @@ class GateBindings:
 
     The lazily-built state every circuit-execution front end needs --
     the engine-wide :class:`~repro.waveguide.LinearWaveguideModel`
-    (whose weight/basis caches make repeated evaluation cheap), one
+    (whose weight cache makes repeated evaluation cheap), one
     laid-out :class:`~repro.core.gate.DataParallelGate` template per
     physical operation, and one nominal
     :class:`~repro.core.simulate.GateSimulator` per operation.  A
     :class:`~repro.circuits.engine.CircuitEngine` owns one by default;
     the :class:`~repro.circuits.executor.CircuitExecutor` shares a
     single instance across *many* circuits so memoised propagation
-    weights and trace bases amortise over every netlist it serves.
+    weights and trace demodulation matrices amortise over every netlist
+    it serves.
     """
 
     def __init__(self, n_bits=8, waveguide=None, transducer=None):
@@ -103,6 +104,22 @@ class GateBindings:
         self._model = None
         self._gates = {}
         self._simulators = {}
+        self._physics_key = None
+
+    def physics_key(self):
+        """``(n_bits, waveguide fields, transducer)`` by value: equal
+        keys build identical gates (the compile-cache key).  Memoised,
+        like the model and gates built from the waveguide."""
+        if self._physics_key is None:
+            from repro.core.layout import TransducerSpec
+
+            transducer = self.transducer
+            self._physics_key = (
+                self.n_bits,
+                astuple(self.waveguide),
+                transducer if transducer is not None else TransducerSpec(),
+            )
+        return self._physics_key
 
     def model(self):
         """The shared linear waveguide model (lazy)."""

@@ -22,6 +22,11 @@ from repro.errors import ReadoutError
 from repro.analysis.phase import fft_phasor, lock_in
 
 
+#: Phase readout refuses a carrier below this fraction of its reference
+#: amplitude (the trace decoder's dead-channel rule).
+MIN_AMPLITUDE_RATIO = 0.05
+
+
 def _wrap(phase):
     return (phase + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -81,7 +86,7 @@ def decode_channel(
     method="lockin",
     amplitude_readout=False,
     amplitude_threshold=0.5,
-    min_amplitude_ratio=0.05,
+    min_amplitude_ratio=MIN_AMPLITUDE_RATIO,
     phasor=None,
 ):
     """Decode one channel from a detector trace.
@@ -152,6 +157,7 @@ def decode_phasor_block(
     reference_amplitudes,
     amplitude_readout=False,
     amplitude_threshold=0.5,
+    min_amplitude_ratio=None,
 ):
     """Vectorised steady-state decode of an ``(n_sets, n_channels)`` block.
 
@@ -165,7 +171,10 @@ def decode_phasor_block(
     Returns ``(bits, phases, amplitudes, margins, dead)`` arrays of the
     block's shape.  ``dead`` marks phase-readout entries whose carrier
     amplitude is exactly zero (undecodable -- the scalar path raises
-    there); their other outputs are filler and must not be used.
+    there); their other outputs are filler and must not be used.  With
+    ``min_amplitude_ratio``, phase-readout entries below that fraction
+    of their reference amplitude are dead too -- :func:`decode_channel`'s
+    rule for lock-in phasors.
     """
     phasors = np.asarray(phasors, dtype=complex)
     reference_phases = np.asarray(reference_phases, dtype=float)
@@ -185,7 +194,10 @@ def decode_phasor_block(
         dead = np.zeros(phasors.shape, dtype=bool)
         return bits, phases, amplitudes, margins, dead
 
-    dead = amplitudes == 0.0
+    if min_amplitude_ratio is None:
+        dead = amplitudes == 0.0
+    else:
+        dead = amplitudes < min_amplitude_ratio * reference_amplitudes
     bits = (np.abs(relative) > 0.5 * math.pi).astype(np.int64)
     margins = np.abs(np.abs(relative) - 0.5 * math.pi)
     return bits, relative, amplitudes, margins, dead

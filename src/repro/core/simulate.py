@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.phase import lock_in_window
 from repro.core.encoding import PhaseEncoding
 from repro.core.readout import (
     ChannelDecode,
@@ -160,6 +161,7 @@ class GateSimulator:
         )
         self._nominal_geometry = None
         self._nominal_weights = None
+        self._trace_demod = None
 
     # ------------------------------------------------------------------
     # Source construction
@@ -687,6 +689,106 @@ class GateSimulator:
                 cache=True,
             )
         return self._nominal_weights
+
+    def trace_demodulation(self):
+        """The ``(2 * n_sources, n_bits)`` fused trace demodulation matrix.
+
+        Trace generation (:meth:`~repro.waveguide.LinearWaveguideModel.trace_batch`:
+        ``coeff_cos @ basis_sin + coeff_sin @ basis_cos``) and lock-in
+        demodulation (``window @ exp(-2*pi*i*f*t)``) are both linear, so
+        :meth:`run_batch`'s sine-referenced lock-in phasors of a
+        nominal-geometry batch compose into one product: with ``x =
+        amplitude * exp(i * phase)`` per source,
+
+            phasors = x.real @ matrix[:S] + x.imag @ matrix[S:]
+
+        Row ``j`` holds ``exp(-d_jc / L_j) * (basis_sin[j, window_c] @
+        reference_c)`` for every channel ``c`` (the causal front included),
+        row ``S + j`` the same with ``basis_cos`` -- on :meth:`run_batch`'s
+        own time grid and each channel's integer-period lock-in window.
+        Off-channel entries are the gate's channel crosstalk
+        (:meth:`trace_crosstalk`).  Built from the windowed samples only,
+        on first use, and memoised; frozen.
+        """
+        return self._trace_demodulation()[0]
+
+    def trace_noise_demodulation(self):
+        """``(n_samples, start, lock_in)`` for additive trace noise.
+
+        ``lock_in`` is the ``(n_window, n_bits)`` complex matrix whose
+        column ``c`` is channel ``c``'s sine-referenced lock-in reference
+        (zero past its own window); a noise row ``r`` of the full
+        ``n_samples`` grid adds ``r[start:start + n_window] @ lock_in`` to
+        the phasors of :meth:`trace_demodulation`.  Memoised with it.
+        """
+        return self._trace_demodulation()[1]
+
+    def _trace_demodulation(self):
+        if self._trace_demod is None:
+            self._trace_demod = self._build_trace_demodulation()
+        return self._trace_demod
+
+    def _build_trace_demodulation(self):
+        position, frequency = self._nominal_source_geometry()
+        duration, t_start = self._trace_window(None)
+        # run_batch's grid: model.run_batch at its default sample rate.
+        sample_rate = 16.0 * float(frequency.max())
+        n_samples = int(round(duration * sample_rate))
+        t = np.arange(n_samples) / sample_rate
+        windows = [
+            lock_in_window(t, f, t_start=t_start)
+            for f in self.layout.plan.frequencies
+        ]
+        # Every window starts at the first settled sample; only the
+        # integer-period truncation differs per channel.
+        start = int(windows[0][0][0])
+        n_window = max(index.size for index, _, _, _ in windows)
+        lock_in = np.zeros((n_window, self.gate.n_bits), dtype=complex)
+        sine_reference = cmath.exp(0.5j * math.pi)
+        for channel, (index, reference, dt, span) in enumerate(windows):
+            lock_in[index - start, channel] = (
+                reference * dt * 2.0 / span * sine_reference
+            )
+        _, _, length = self.model._wave_parameter_arrays(frequency)
+        t_on = np.zeros_like(position)
+        matrix = np.empty((2 * position.size, self.gate.n_bits), dtype=complex)
+        for channel, detector in enumerate(self.layout.detector_positions):
+            index = windows[channel][0]
+            basis = np.vstack(self.model.trace_basis(
+                position, frequency, t_on, detector, t[index]
+            ))
+            # Real GEMM against the (re, im) pairs of the reference:
+            # numpy's mixed float/complex matmul skips BLAS.
+            column = np.ascontiguousarray(lock_in[index - start, channel])
+            product = (basis @ column.view(float).reshape(-1, 2)).view(complex)
+            envelope = np.exp(-np.abs(detector - position) / length)
+            matrix[:, channel] = np.tile(envelope, 2) * product[:, 0]
+        matrix.setflags(write=False)
+        lock_in.setflags(write=False)
+        return matrix, (n_samples, start, lock_in)
+
+    def trace_crosstalk(self):
+        """Per channel, the largest off-channel demodulation entry
+        relative to the smallest on-channel one.
+
+        Entry magnitudes are ``hypot`` of a source's sine and cosine rows
+        of :meth:`trace_demodulation` in that channel's column: how much
+        a unit source at another frequency leaks into this channel's
+        lock-in phasor, against the weakest of the channel's own inputs.
+        Zero would be the paper's ideal of non-interfering frequency
+        channels; finite windows and causal fronts leave a residue.
+        Returns an ``(n_bits,)`` float array.
+        """
+        matrix = self.trace_demodulation()
+        n_sources = matrix.shape[0] // 2
+        magnitude = np.hypot(
+            np.abs(matrix[:n_sources]), np.abs(matrix[n_sources:])
+        )
+        owner = np.repeat(np.arange(self.gate.n_bits), self.layout.n_inputs)
+        on_channel = owner[:, None] == np.arange(self.gate.n_bits)
+        on = np.where(on_channel, magnitude, np.inf).min(axis=0)
+        off = np.where(on_channel, 0.0, magnitude).max(axis=0)
+        return off / on
 
     def calibration_arrays(self):
         """Calibration as ``(reference_phases, reference_amplitudes)``

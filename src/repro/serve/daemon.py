@@ -68,6 +68,10 @@ class _Handler(BaseHTTPRequestHandler):
     # waits for the client's delayed ACK (~40 ms) on keep-alive
     # connections.
     disable_nagle_algorithm = True
+    #: Seconds any socket read may stall (request line, headers, body)
+    #: before the connection is given up: a client that announces more
+    #: body than it sends cannot hold a handler thread.
+    timeout = 5.0
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Access logging lands in the metrics registry, not stderr.
@@ -79,13 +83,17 @@ class _Handler(BaseHTTPRequestHandler):
             payload if isinstance(payload, bytes)
             else json.dumps(payload).encode("utf-8")
         )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except ConnectionError:
+            # The client hung up before its reply: nothing to answer.
+            self.close_connection = True
 
     def do_GET(self):
         app = self.server.app
@@ -156,7 +164,21 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = json.loads(self.rfile.read(length) or b"null")
+            body = self.rfile.read(length)
+            short = f"got {len(body)} bytes" if len(body) < length else None
+        except TimeoutError:
+            short = f"read timed out after {self.timeout:g} s"
+        if short is not None:
+            # The client hung up or stalled mid-body: the stream is out
+            # of step with its framing, so answer and close.
+            self._reject_body(
+                f"request body shorter than its Content-Length {length} "
+                f"({short})", started, request_id,
+                headers=(("Connection", "close"),),
+            )
+            return
+        try:
+            payload = json.loads(body or b"null")
         except (ValueError, TypeError, RecursionError) as exc:
             # RecursionError: a deeply nested array or object.
             self._reject_body(

@@ -225,9 +225,9 @@ class LinearWaveguideModel:
         products against this basis (see :meth:`trace_batch`).
 
         With ``cache=True`` the basis is memoised per exact
-        ``(geometry, detector, time grid)`` -- circuit-level trace
-        execution re-evaluates the same few gate geometries on the same
-        grid once per (level, operation, fault variant) call, so the
+        ``(geometry, detector, time grid)`` -- repeated
+        :meth:`~repro.core.simulate.GateSimulator.run_batch` calls on one
+        gate re-evaluate the same geometry on the same grid, so the
         basis (the expensive ``sin``/``cos`` over ``n_sources x
         n_samples``) is paid once per gate instead of once per call.
         Only nominal (recurring) geometries should cache: placement-noise

@@ -32,7 +32,11 @@ from repro.circuits import (
     CircuitExecutor,
     random_netlist,
 )
-from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
+from repro.circuits.library import (
+    PHYSICAL_BINDINGS,
+    GateBindings,
+    physical_arity,
+)
 from repro.circuits.netlist import Netlist
 from repro.core.faults import TransducerFault
 from repro.core.simulate import GateSimulator
@@ -164,24 +168,36 @@ class TestConformanceFast:
         cross_check(engine, random_batch(netlist, seed), faults=[fault])
 
     def test_placement_noise_fallback(self):
-        """Per-entry placement noise exercises the per-source trace path.
+        """Per-entry placement noise routes both modes to the scalar
+        reference (the packed GEMMs bake the nominal geometry in).
 
-        Position jitter breaks shared geometry, so the compiled trace
-        path falls back from the carrier-basis GEMM to the general
-        per-source loop -- and must still pin to the scalar reference.
-        (Phasor mode runs the scalar reference itself.)
+        Jittered geometries never repeat, so nothing about them may be
+        memoised: the model's weight and basis caches and the trace
+        demodulation matrices stay exactly as the nominal run left them.
         """
         seed = FAST_SEEDS[1]
         netlist = random_netlist(seed)
         engine = CircuitEngine(netlist, n_bits=N_BITS)
         noise = NoiseModel(position_sigma=1e-9, seed=60 + seed)
         batch = random_batch(netlist, seed, n_entries=4)
-        engine.run(batch, mode="trace")  # nominal: populates the basis cache
-        cached = len(engine.model()._basis_cache)
-        assert cached > 0
+        engine.run(batch, mode="trace")  # nominal: builds the matrices
+        model = engine.model()
+        simulators = [
+            engine.simulator_for(operation) for operation in PHYSICAL_BINDINGS
+        ]
+        before = (
+            dict(model._weights_cache), dict(model._basis_cache),
+            [simulator._trace_demod for simulator in simulators],
+        )
+        assert any(matrices is not None for matrices in before[2])
         cross_check(engine, batch, noise=noise)
-        # Jittered geometries never repeat and must not be memoised.
-        assert len(engine.model()._basis_cache) == cached
+        after = (
+            dict(model._weights_cache), dict(model._basis_cache),
+            [simulator._trace_demod for simulator in simulators],
+        )
+        assert after[0].keys() == before[0].keys()
+        assert after[1].keys() == before[1].keys()
+        assert all(a is b for a, b in zip(after[2], before[2]))
 
     def test_multi_fault_conformance(self):
         """Distinct-cell fault lists conform across all four backends."""
@@ -206,6 +222,163 @@ class TestConformanceFast:
             ),
         ]
         cross_check(engine, random_batch(netlist, seed), faults=faults)
+
+
+# ----------------------------------------------------------------------
+# Trace mode: the fused demodulation GEMM pins to the waveform reference
+# ----------------------------------------------------------------------
+def majority_xor_netlist():
+    """One MAJ3 and one XOR2 cell on shared inputs, both outputs."""
+    netlist = Netlist("maj_xor")
+    for name in ("a", "b", "c"):
+        netlist.add_input(name)
+    netlist.add_cell("m", "MAJ3", ("a", "b", "c"))
+    netlist.add_cell("x", "XOR2", ("a", "b"))
+    netlist.mark_output("m")
+    netlist.mark_output("x")
+    return netlist
+
+
+def every_assignment(netlist):
+    """All 2^n primary-input assignments, in binary order."""
+    n_inputs = len(netlist.inputs)
+    return [
+        {
+            name: (code >> bit) & 1
+            for bit, name in enumerate(netlist.inputs)
+        }
+        for code in range(2 ** n_inputs)
+    ]
+
+
+#: Dead-source on the MAJ3's first input: whenever the other two inputs
+#: differ their carriers nearly cancel, leaving a lock-in amplitude
+#: under 5% of the faulted reference -- dead in trace mode only.
+DEAD_CARRIER = CellFault(
+    "m", TransducerFault("dead-source", channel=1, input_index=0)
+)
+#: Stuck-phase-1 on an XOR2 input: under :class:`CancellingBindings`
+#: the faulted cell cannot calibrate and every row decodes dead.
+UNCALIBRATABLE = CellFault(
+    "x", TransducerFault("stuck-phase-1", channel=0, input_index=1)
+)
+
+
+class CancellingBindings(GateBindings):
+    """Bindings whose stuck-phase-1 XOR2 cells cannot calibrate.
+
+    Stands in for a layout whose two XOR2 sources sit equidistant from
+    a detector, where a stuck-phase-1 victim cancels its partner's
+    all-zeros carrier exactly (the inline layouts never do, so their
+    faulted references stay finite).  Both execution paths obtain
+    faulted simulators from the bindings, so both see the failure.
+    """
+
+    def faulty_simulator(self, operation, fault):
+        simulator = super().faulty_simulator(operation, fault)
+        if operation == "XOR2" and fault.kind == "stuck-phase-1":
+            def calibration():
+                raise SimulationError(
+                    "calibration produced zero amplitude on channel "
+                    f"{fault.channel}; check the layout"
+                )
+
+            simulator.calibration = calibration
+        return simulator
+
+
+class TestTraceConformance:
+    """Each case pins ``run(mode="trace")`` to ``run_scalar(mode="trace")``."""
+
+    @staticmethod
+    def pinned(engine, batch, faults=(), noise=None):
+        result = engine.run(
+            batch, faults=faults, noise=noise, strict=False, mode="trace"
+        )
+        reference = engine.run_scalar(
+            batch, faults=faults, noise=noise, strict=False, mode="trace"
+        )
+        assert_pinned(result, reference)
+        return result
+
+    @pytest.mark.parametrize("phase_sigma", [0.0, 0.05])
+    def test_additive_trace_noise(self, phase_sigma):
+        seed = FAST_SEEDS[0]
+        netlist = random_netlist(seed)
+        engine = CircuitEngine(netlist, n_bits=N_BITS)
+        noise = NoiseModel(
+            trace_sigma=0.05, phase_sigma=phase_sigma, seed=80 + seed
+        )
+        batch = random_batch(netlist, seed)
+        noisy = self.pinned(engine, batch, noise=noise)
+        clean = engine.run(batch, strict=False, mode="trace")
+        # The noise must reach the decode, not just ride along.
+        assert any(
+            noisy.cells[name].margins != clean.cells[name].margins
+            for name in noisy.cells
+            if noisy.cells[name].margins is not None
+        )
+
+    def test_weak_carrier_decodes_dead_in_trace_mode_only(self):
+        netlist = majority_xor_netlist()
+        engine = CircuitEngine(netlist, n_bits=N_BITS)
+        batch = every_assignment(netlist)
+        result = self.pinned(engine, batch, faults=[DEAD_CARRIER])
+        assert any(result.failed)
+        phasor = engine.run(batch, faults=[DEAD_CARRIER], strict=False)
+        assert not any(phasor.failed)  # the residue is not exactly zero
+        with pytest.raises(SimulationError) as packed:
+            engine.run(batch, faults=[DEAD_CARRIER], mode="trace")
+        with pytest.raises(SimulationError) as scalar:
+            engine.run_scalar(batch, faults=[DEAD_CARRIER], mode="trace")
+        assert str(packed.value) == str(scalar.value)
+
+    def test_uncalibratable_faulted_cell(self):
+        netlist = majority_xor_netlist()
+        engine = CircuitEngine(
+            netlist, bindings=CancellingBindings(n_bits=N_BITS)
+        )
+        batch = every_assignment(netlist)
+        result = self.pinned(engine, batch, faults=[UNCALIBRATABLE])
+        assert result.cells["x"].bits == [None] * len(batch)
+        with pytest.raises(SimulationError) as packed:
+            engine.run(batch, faults=[UNCALIBRATABLE], mode="trace")
+        with pytest.raises(SimulationError) as scalar:
+            engine.run_scalar(batch, faults=[UNCALIBRATABLE], mode="trace")
+        assert str(packed.value) == str(scalar.value)
+
+    def test_coalesced_faulted_and_nominal_tenants(self):
+        netlist = majority_xor_netlist()
+        bindings = CancellingBindings(n_bits=N_BITS)
+        engine = CircuitEngine(netlist, bindings=bindings)
+        batch = every_assignment(netlist)
+        noise = NoiseModel(trace_sigma=0.05, phase_sigma=0.05, seed=3)
+        configs = [
+            ((), None),
+            ((DEAD_CARRIER,), None),
+            ((), noise),
+            ((UNCALIBRATABLE,), noise),
+            ((DEAD_CARRIER, UNCALIBRATABLE), None),
+        ]
+        executor = CircuitExecutor(bindings=bindings, max_block=1024)
+        tickets = [
+            executor.submit(
+                netlist, batch[index:], faults=faults, noise=noise_model,
+                strict=False, mode="trace",
+            )
+            for index, (faults, noise_model) in enumerate(configs)
+        ]
+        executor.flush()
+        assert executor.stats["blocks"] == 1
+        assert executor.stats["fallbacks"] == 0
+        for index, (ticket, (faults, noise_model)) in enumerate(
+            zip(tickets, configs)
+        ):
+            reference = engine.run_scalar(
+                batch[index:], faults=faults, noise=noise_model,
+                strict=False, mode="trace",
+            )
+            assert_pinned(ticket.result(), reference)
 
 
 # ----------------------------------------------------------------------
@@ -389,12 +562,10 @@ class TestCoalescedConformance:
         )
         assert_pinned(ticket.result(), reference)
 
-    def test_position_noise_trace_runs_through_the_artifact(
-        self, monkeypatch
-    ):
-        """A placement-noise trace request skips coalescing but runs a
-        one-tenant artifact block (``run_batch`` takes one noise model
-        per row), pinned to the scalar trace reference."""
+    def test_position_noise_trace_runs_scalar(self):
+        """A placement-noise trace request skips coalescing and runs the
+        scalar trace reference (per-row geometry), compiling nothing and
+        building no trace demodulation matrix."""
         seed = FAST_SEEDS[1]
         netlist = random_netlist(seed)
         batch = random_batch(netlist, seed, n_entries=4)
@@ -402,11 +573,6 @@ class TestCoalescedConformance:
         reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
             batch, noise=noise, strict=False, mode="trace"
         )
-
-        def no_scalar(*args, **kwargs):
-            raise AssertionError("served by the scalar reference")
-
-        monkeypatch.setattr(CircuitEngine, "run_scalar", no_scalar)
         executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
         ticket = executor.submit(
             netlist, batch, noise=noise, strict=False, mode="trace"
@@ -416,9 +582,12 @@ class TestCoalescedConformance:
         assert result.trace.path == "fallback"
         assert executor.stats["fallbacks"] == 1
         assert executor.stats["blocks"] == 0
-        assert executor.cache.misses == 1
+        assert executor.cache.misses == 0
         assert result.mode == "trace"
         assert_pinned(result, reference)
+        for operation in PHYSICAL_BINDINGS:
+            simulator = executor.bindings.simulator(operation)
+            assert simulator._trace_demod is None
 
 
 # ----------------------------------------------------------------------

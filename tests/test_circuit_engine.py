@@ -24,6 +24,7 @@ import pytest
 from repro.circuits import (
     CellFault,
     CircuitEngine,
+    CircuitExecutor,
     Netlist,
     full_adder,
     majority_tree,
@@ -362,23 +363,50 @@ class TestTraceMode:
         with pytest.raises(NetlistError, match="unknown execution mode"):
             engine.run_scalar([{"a": 0, "b": 0, "cin": 0}], mode="waveform")
 
-    def test_trace_basis_cache_reused_across_runs(self):
-        """Repeated trace runs reuse the memoised carrier bases."""
+    def test_trace_demodulation_reused_across_runs(self, monkeypatch):
+        """The fused trace demodulation matrix is built once per
+        (bindings, operation) and reused across runs, noise, fault
+        variants and compile-cache evictions; it is frozen, and trace
+        runs build no waveform basis."""
+        builds = []
+        build = GateSimulator._build_trace_demodulation
+
+        def counting_build(simulator):
+            builds.append(simulator.gate.kind)
+            return build(simulator)
+
+        monkeypatch.setattr(
+            GateSimulator, "_build_trace_demodulation", counting_build
+        )
         netlist, _, _ = full_adder()
-        engine = CircuitEngine(netlist, n_bits=2)
+        executor = CircuitExecutor(n_bits=2, cache_size=1)
         batch = exhaustive_batch(netlist)[:2]
-        engine.run_trace_batch(batch)
-        model = engine.model()
-        cached = len(model._basis_cache)
-        assert cached > 0
-        engine.run_trace_batch(batch)
-        engine.run_trace_batch(
-            batch, noise=NoiseModel(phase_sigma=0.1, seed=5)
-        )  # amplitude/phase noise keeps the nominal geometry
-        assert len(model._basis_cache) == cached
-        for basis_sin, basis_cos in model._basis_cache.values():
-            assert not basis_sin.flags.writeable
-            assert not basis_cos.flags.writeable
+        executor.run(netlist, batch, mode="trace")
+        assert sorted(kind.value for kind in builds) == ["majority", "xor"]
+        executor.run(netlist, batch, mode="trace")
+        executor.run(
+            netlist, batch, mode="trace",
+            noise=NoiseModel(phase_sigma=0.1, trace_sigma=0.01, seed=5),
+        )  # source and trace noise keep the nominal geometry
+        executor.run(
+            netlist, batch, mode="trace", strict=False,
+            faults=[CellFault(
+                "fa_carry",
+                TransducerFault("stuck-phase-1", channel=1, input_index=0),
+            )],
+        )
+        # Evict the artifact, then recompile it from the same bindings.
+        adder = ripple_carry_adder(2)
+        executor.run(adder, exhaustive_batch(adder)[:2])
+        executor.run(netlist, batch, mode="trace")
+        assert executor.cache.evictions >= 2
+        assert len(builds) == 2
+        assert executor.bindings.model()._basis_cache == {}
+        for operation in ("MAJ3", "XOR2"):
+            matrix = executor.bindings.simulator(
+                operation
+            ).trace_demodulation()
+            assert not matrix.flags.writeable
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,23 @@ class TestCompileCache:
         assert cache.misses == 3
         assert cache.hits == 0
 
+    def test_key_follows_physics_content(self):
+        """Regression: the key was ``(signature, n_bits)``, so bindings
+        on another waveguide were served the first bindings' artifact."""
+        from repro.waveguide import Waveguide
+
+        cache = CompiledCircuitCache(max_entries=4)
+        default = GateBindings(n_bits=N_BITS)
+        narrow = GateBindings(n_bits=N_BITS, waveguide=Waveguide(width=30e-9))
+        first = cache.get_or_compile(xor_pair("a"), default)
+        other = cache.get_or_compile(xor_pair("b"), narrow)
+        assert other is not first
+        assert other.bindings is narrow
+        # Equal content in distinct objects still shares one artifact.
+        twin = GateBindings(n_bits=N_BITS, waveguide=Waveguide())
+        assert cache.get_or_compile(xor_pair("c"), twin) is first
+        assert (cache.hits, cache.misses) == (1, 2)
+
     def test_engine_recompiles_after_growth(self):
         netlist = xor_pair("engine")
         engine = CircuitEngine(netlist, n_bits=N_BITS)
@@ -121,20 +138,23 @@ class TestCompileCache:
         result = artifact.run(BATCH)
         assert result.outputs == netlist.evaluate_batch(BATCH)
 
-    def test_artifact_refuses_only_phasor_placement_noise(self):
-        """The packed GEMM bakes nominal weights in, so phasor placement
-        noise is refused; trace mode draws each row's geometry inside
-        ``run_batch`` and runs."""
+    def test_artifact_refuses_placement_noise_in_both_modes(self):
+        """Both modes' packed GEMMs bake the nominal geometry in, so the
+        artifact refuses placement noise; the engine serves it through
+        the scalar reference instead."""
         from repro.errors import SimulationError
         from repro.waveguide import NoiseModel
 
         netlist = xor_pair("placed")
-        artifact = compile_circuit(netlist, GateBindings(n_bits=N_BITS))
+        bindings = GateBindings(n_bits=N_BITS)
+        artifact = compile_circuit(netlist, bindings)
         noise = NoiseModel(position_sigma=1e-9, seed=5)
-        with pytest.raises(SimulationError, match="placement noise"):
-            artifact.run(BATCH, noise=noise)
-        trace = artifact.run(BATCH, noise=noise, strict=False, mode="trace")
-        reference = CircuitEngine(netlist, n_bits=N_BITS).run_scalar(
+        for mode in ("phasor", "trace"):
+            with pytest.raises(SimulationError, match="placement noise"):
+                artifact.run(BATCH, noise=noise, mode=mode)
+        engine = CircuitEngine(netlist, bindings=bindings)
+        trace = engine.run(BATCH, noise=noise, strict=False, mode="trace")
+        reference = engine.run_scalar(
             BATCH, noise=noise, strict=False, mode="trace"
         )
         assert trace.outputs == reference.outputs

@@ -517,3 +517,104 @@ class TestTraceGeometryBranches:
             rtol=0,
             atol=0,
         )
+
+
+# ----------------------------------------------------------------------
+# Fused trace demodulation: trace generation + lock-in as one matrix
+# ----------------------------------------------------------------------
+class TestTraceDemodulation:
+    """``trace_demodulation()`` reproduces ``run_batch``'s lock-in
+    phasors without building a waveform."""
+
+    @staticmethod
+    def fused_decodes(simulator, patterns, noises=None):
+        """Bits/amplitudes/margins from the matrix, plus the dead mask."""
+        from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
+
+        bank = simulator.build_source_bank(patterns, noises=noises)
+        excite = bank.amplitude * np.exp(1j * bank.phase)
+        matrix = simulator.trace_demodulation()
+        n_sources = excite.shape[1]
+        phasors = excite.real @ matrix[:n_sources] + excite.imag @ matrix[
+            n_sources:
+        ]
+        if noises is not None:
+            n_samples, start, lock_in = simulator.trace_noise_demodulation()
+            for row, noise in enumerate(noises):
+                samples = noise.trace_perturbation(n_samples)
+                phasors[row] += samples[start : start + len(lock_in)] @ lock_in
+        bits, _, amplitudes, margins, dead = decode_phasor_block(
+            phasors, *simulator.calibration_arrays(),
+            amplitude_readout=simulator.gate.kind.uses_amplitude_readout,
+            min_amplitude_ratio=MIN_AMPLITUDE_RATIO,
+        )
+        return bits, amplitudes, margins, dead.any(axis=1)
+
+    @staticmethod
+    def assert_matches_run_batch(fused, runs):
+        bits, amplitudes, margins, dead = fused
+        assert dead.tolist() == [run is None for run in runs]
+        for row, run in enumerate(runs):
+            if run is None:
+                continue
+            assert bits[row].tolist() == run.decoded
+            np.testing.assert_allclose(
+                amplitudes[row], [d.amplitude for d in run.decodes],
+                rtol=TOL, atol=TOL,
+            )
+            np.testing.assert_allclose(
+                margins[row], [d.margin for d in run.decodes],
+                rtol=TOL, atol=TOL,
+            )
+
+    @pytest.mark.parametrize("kind", [GateKind.MAJORITY, GateKind.XOR])
+    @pytest.mark.parametrize("n_rows", [4, 32])
+    def test_matches_run_batch(self, kind, n_rows):
+        gate = make_gate(kind, 4, (False, True, False, False))
+        simulator = GateSimulator(gate)
+        rng = np.random.default_rng(n_rows)
+        patterns = rng.integers(
+            0, 2, size=(n_rows, gate.n_data_inputs, gate.n_bits)
+        )
+        self.assert_matches_run_batch(
+            self.fused_decodes(simulator, patterns),
+            simulator.run_batch(patterns, strict=False),
+        )
+
+    def test_trace_noise_is_the_lock_in_of_its_row(self):
+        gate = make_gate(GateKind.MAJORITY, 2, (False, True))
+        simulator = GateSimulator(gate)
+        patterns = gate.exhaustive_patterns()
+        noises = [
+            NoiseModel(trace_sigma=0.2, phase_sigma=0.1, seed=seed)
+            for seed in range(len(patterns))
+        ]
+        self.assert_matches_run_batch(
+            self.fused_decodes(simulator, patterns, noises),
+            simulator.run_batch(patterns, noises=noises, strict=False),
+        )
+
+    def test_memoised_and_frozen(self):
+        simulator = GateSimulator(make_gate(GateKind.XOR, 2, (False, False)))
+        matrix = simulator.trace_demodulation()
+        assert simulator.trace_demodulation() is matrix
+        assert matrix.shape == (2 * simulator.layout.n_inputs * 2, 2)
+        assert not matrix.flags.writeable
+        _, _, lock_in = simulator.trace_noise_demodulation()
+        assert not lock_in.flags.writeable
+        # Built from the lock-in windows only: no full-grid basis cached.
+        assert simulator.model._basis_cache == {}
+
+    @pytest.mark.parametrize("operation", ["MAJ3", "XOR2"])
+    def test_channel_crosstalk_stays_small(self, operation):
+        """The paper's premise: channels at different frequencies share
+        the waveguide without interfering -- every off-channel source
+        leaks under 2% of the weakest on-channel one into a byte
+        gate's lock-in phasors."""
+        from repro.circuits.library import physical_gate
+
+        simulator = GateSimulator(physical_gate(operation, 8))
+        crosstalk = simulator.trace_crosstalk()
+        assert crosstalk.shape == (8,)
+        assert (crosstalk > 0).all()
+        assert crosstalk.max() <= 0.02

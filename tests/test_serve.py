@@ -281,6 +281,46 @@ class TestErrorMapping:
         # The daemon still serves after the rejected body.
         assert ServeClient(server.url).healthz()["status"] == "ok"
 
+    def test_short_body_is_http_400_and_closes(
+        self, server, monkeypatch, capfd
+    ):
+        """Regression: a body shorter than its Content-Length held the
+        handler thread with no read timeout, and a client hanging up
+        then got its truncated body run as a request (plus a
+        ``BrokenPipeError`` traceback on the daemon's stderr)."""
+        import socket
+        import time
+        from urllib.parse import urlsplit
+
+        from repro.serve.daemon import _Handler
+
+        monkeypatch.setattr(_Handler, "timeout", 1.0)
+        url = urlsplit(server.url)
+        request = (
+            f"POST /v1/run HTTP/1.1\r\nHost: {url.hostname}\r\n"
+            "Content-Length: 1000\r\n\r\n{}"
+        ).encode("ascii")
+        started = time.monotonic()
+        with socket.create_connection((url.hostname, url.port)) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(request)  # ...and stall, socket left open
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:  # the daemon closed the connection
+                    break
+                reply += chunk
+        assert time.monotonic() - started < 5.0
+        header_block, _, payload = reply.partition(b"\r\n\r\n")
+        assert header_block.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in header_block.lower()
+        error = json.loads(payload)["error"]
+        assert error["type"] == "NetlistError"
+        assert "Content-Length 1000" in error["message"]
+        assert ServeClient(server.url).healthz()["status"] == "ok"
+        assert server.executor.stats["requests"] == 0
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_unknown_route_is_http_404(self, client):
         status, _ = client._request("GET", "/nope")
         assert status == 404
