@@ -8,8 +8,11 @@ engine and evaluated on a batch of word groups two ways:
   (cell, word group);
 * packed (``mode="packed"``) -- ``run()``, the compile-once fast path:
   the frozen :class:`~repro.circuits.compiled.CompiledCircuit` artifact
-  executes every physical cell of a level -- MAJ3 and XOR2 alike -- as
-  ONE GEMM against block-stacked weights into preallocated buffers.
+  decodes every nominal phasor cell as a gather from its operation's
+  channel truth table (``GateSimulator.channel_table``), no GEMM;
+* packed-noisy (``mode="packed-noisy"``) -- the same batch under
+  ``phase_sigma`` source noise, whose rows keep the cross-op level
+  GEMM against block-stacked weights.
 
 ``mode="compile+run"`` times the cold path (staged ``compile()`` plus
 one packed run) so the compiled-reuse advantage -- the steady-state
@@ -114,13 +117,28 @@ def _run_metrics(fn):
 
 
 def test_engine_packed_throughput(benchmark, adder_setup):
-    """Steady-state packed serving: the compiled-reuse acceptance row."""
+    """Steady-state packed serving: the compiled-reuse acceptance row,
+    every phasor cell a channel-table gather."""
     engine, netlist, batch = adder_setup
     result = benchmark(engine.run, batch)
     assert result.correct
     _record(benchmark, engine, netlist, batch, "packed")
     benchmark.extra_info["metrics"] = _run_metrics(
         lambda: engine.run(batch)
+    )
+
+
+def test_engine_packed_noisy_throughput(benchmark, adder_setup):
+    """Packed rows with phase noise: the level-GEMM route."""
+    from repro.waveguide import NoiseModel
+
+    engine, netlist, batch = adder_setup
+    noise = NoiseModel(phase_sigma=0.05, seed=1)
+    result = benchmark(engine.run, batch, noise=noise)
+    assert result.correct
+    _record(benchmark, engine, netlist, batch, "packed-noisy")
+    benchmark.extra_info["metrics"] = _run_metrics(
+        lambda: engine.run(batch, noise=noise)
     )
 
 

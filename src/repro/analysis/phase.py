@@ -39,7 +39,11 @@ def lock_in(t, signal, frequency, t_start=0.0, t_stop=None):
     index, reference, dt, duration = lock_in_window(
         t, frequency, t_start=t_start, t_stop=t_stop
     )
-    integral = signal[..., index] @ reference * dt
+    # One real product against the reference's (re, im) columns: a
+    # float-by-complex product would cast the window to complex and run
+    # a complex GEMV, ~15x slower under threaded OpenBLAS.
+    pairs = reference.view(float).reshape(-1, 2)
+    integral = (signal[..., index] @ pairs).view(complex)[..., 0] * dt
     return 2.0 * integral / duration
 
 

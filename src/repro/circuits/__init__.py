@@ -15,8 +15,9 @@ this layer through the logic-synthesis front end
 technology mapping onto :data:`~repro.circuits.library.PHYSICAL_BINDINGS`.
 
 Execution is compile-once: the engine lowers its netlist into a frozen
-:class:`~repro.circuits.compiled.CompiledCircuit` artifact (cross-op
-packed level GEMMs, preallocated buffers, baked calibration) keyed by a
+:class:`~repro.circuits.compiled.CompiledCircuit` artifact (channel
+truth-table gathers, cross-op level GEMMs for noisy and trace rows,
+preallocated buffers, baked calibration) keyed by a
 content hash (:func:`~repro.circuits.compiled.netlist_signature`), and
 the serving layer (:class:`~repro.circuits.executor.CircuitExecutor`)
 coalesces word batches from many logical requests into maximal packed

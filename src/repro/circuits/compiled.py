@@ -9,37 +9,45 @@ blocks against it:
 * an immutable level schedule with integer *slot* tables (every node is
   a row of one preallocated ``(n_slots, padded)`` value buffer -- no
   per-run dict churn, no per-cell ``np.zeros``);
-* per-level **cross-operation packing**: the nominal propagation weights
-  of every operation sharing a level are block-stacked
+* per-operation **channel truth tables**
+  (:meth:`~repro.core.simulate.GateSimulator.channel_table`): frequency
+  channels do not interact, so a phasor cell's decode on channel ``c``
+  is a fixed function of its fanin bits there, and every nominal or
+  faulted phasor row is a table gather -- no excitation, no GEMM;
+* per-level **cross-operation packing** for the rows that keep the
+  GEMM (amplitude or phase source noise, and every trace row): the
+  propagation weights of every operation sharing a level are
+  block-stacked
   (:meth:`~repro.waveguide.LinearWaveguideModel.block_stack_weights`)
-  so all same-layout physical cells of the level -- MAJ3 and XOR2 alike
-  -- evaluate as **one** GEMM per level in either mode;
+  so those rows of all same-layout physical cells -- MAJ3 and XOR2
+  alike -- evaluate as **one** GEMM per level;
 * precomputed INV/BUF masks: all free cells of a level resolve as one
   vectorised ``np.where`` over buffer rows;
 * baked-in nominal calibration rows, phase LUTs and amplitude rows per
-  operation, plus a lazily-grown per-``(operation, fault)`` calibration
-  cache for faulted cells (faulted calibration *includes* the fault,
+  operation, plus a bounded per-``(operation, fault)`` cache of faulted
+  calibrations and tables (faulted calibration *includes* the fault,
   exactly like :class:`~repro.core.faults.FaultySimulator`'s inherited
   calibration path).
 
-Weights and excitation blocks are complex128, the only numeric path.
 Every execution is one padded block of one or more *tenants* (a
 request's input block, noise template and fault map) assembled by
 :meth:`CompiledCircuit.execute_block`: :meth:`CompiledCircuit.run` is a
-one-tenant block, an executor flush a many-tenant one.  Semantics are
-pinned to the scalar reference :meth:`CircuitEngine.run_scalar
+one-tenant block, an executor flush a many-tenant one.  Both routes of
+a level -- gather and GEMM -- yield the same decoded arrays, so dead
+marking and records are shared, and a noisy tenant never moves its
+block-mates onto the GEMM.  Semantics are pinned to the scalar
+reference :meth:`CircuitEngine.run_scalar
 <repro.circuits.engine.CircuitEngine.run_scalar>`: identical noise seeds
 (one derived model per (cell, group)), identical fault mutation order
 (noise first, then the victim column), identical dead-decode marking
 and strict-mode error messages.  Phasor bits are exact and margins
-agree to ~1e-15 (the only difference is BLAS reassociation over the
-packed k-dimension); trace mode swaps in each operation's fused trace
-demodulation matrix
+agree to ~1e-15 (the only difference is BLAS reassociation); trace mode
+swaps in each operation's fused trace demodulation matrix
 (:meth:`~repro.core.simulate.GateSimulator.trace_demodulation`), whose
 GEMM yields the lock-in phasors of never-built waveforms.  Placement
-noise is the one configuration the artifact refuses: its GEMMs bake the
-nominal geometry in.  ``tests/test_circuit_conformance.py`` pins both
-modes against the scalar reference to <= 1e-12.
+noise is the one configuration the artifact refuses: its tables and
+GEMMs bake the nominal geometry in.  ``tests/test_circuit_conformance.py``
+pins both modes against the scalar reference to <= 1e-12.
 
 Artifacts live in process memory only and key on
 :func:`netlist_signature` (a content hash of the DAG plus outputs) --
@@ -68,8 +76,35 @@ from repro.circuits.engine import (
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
 from repro.circuits.netlist import Netlist
 from repro.core.readout import MIN_AMPLITUDE_RATIO, decode_phasor_block
+from repro.core.simulate import decode_channel_table, input_patterns
 from repro.errors import NetlistError, SimulationError
 from repro.waveguide.linear_model import LinearWaveguideModel
+
+
+#: Faulted operations an artifact keeps calibrated (see
+#: :meth:`CompiledCircuit._fault_entry`).
+FAULT_CACHE_ENTRIES = 64
+
+
+def _flat(table):
+    """A :class:`~repro.core.simulate.ChannelTable`'s fields as flat
+    views, indexed ``channel * 2**n_inputs + pattern``."""
+    return tuple(column.ravel() for column in table)
+
+
+def _apply_fault(amplitude, phase, fault, n_inputs):
+    """Mutate the victim source column of channel-major excitation rows
+    in place: the array twin of
+    :meth:`~repro.core.faults.FaultySimulator.mutate_source_bank`."""
+    column = fault.channel * n_inputs + fault.input_index
+    if fault.kind == "dead-source":
+        amplitude[..., column] = 0.0
+    elif fault.kind == "weak-source":
+        amplitude[..., column] *= fault.severity
+    elif fault.kind == "stuck-phase-0":
+        phase[..., column] = 0.0
+    else:  # stuck-phase-1
+        phase[..., column] = math.pi
 
 
 def netlist_signature(netlist):
@@ -97,7 +132,7 @@ class _OpPlan:
         "operation", "names", "n_cells", "n_inputs", "fanin_slots",
         "out_slots", "physical_indices", "weights", "cal_phases",
         "cal_amps", "phase_lut", "amp_row", "amplitude_readout",
-        "src_offset", "det_offset",
+        "table", "table_live", "channel_base", "src_offset", "det_offset",
     )
 
 
@@ -167,8 +202,8 @@ class CompiledCircuit:
     requests, via :meth:`execute_block`, which the
     :class:`~repro.circuits.executor.CircuitExecutor` drives).  The
     schedule, slot tables and packed weight matrices never change after
-    compilation; per-run scratch (value/excitation buffers, the failed
-    mask) is preallocated per batch shape and reused.
+    compilation; per-run scratch (the value buffer and the failed mask)
+    is preallocated per batch shape and reused.
 
     ``packable`` is False when some operation's calibration fails (the
     physics cannot produce a reference) -- callers then run the scalar
@@ -205,10 +240,9 @@ class CompiledCircuit:
         # Per-shape run scratch, grown lazily and reused across runs.
         self._value_buffers = {}
         self._failed_buffers = {}
-        self._excite_buffers = {}
-        # (operation, fault) -> calibration arrays (None when the
-        # faulted calibration cannot decode at all).
-        self._faulty_cal = {}
+        # (operation, fault) -> (calibration, table), least recently
+        # used first; see _fault_entry.
+        self._fault_cache = OrderedDict()
 
     @property
     def n_physical_cells(self):
@@ -288,7 +322,7 @@ class CompiledCircuit:
         self.has_physical = any(plan.ops for plan in self.levels)
 
     def _stage_calibrate(self):
-        """Bake weights, calibration and excitation tables per operation.
+        """Bake weights, calibration and channel tables per operation.
 
         Skipped entirely for purely virtual netlists, so compiling and
         running them touches no physics (the engine's lazily-built model
@@ -319,9 +353,13 @@ class CompiledCircuit:
                         simulator._phase_lut,
                         np.asarray(simulator.amplitudes, dtype=float).ravel(),
                         simulator.gate.kind.uses_amplitude_readout,
+                        _flat(simulator.channel_table()),
+                        not simulator.channel_table().dead.any(),
+                        np.arange(self.n_bits) << op.n_inputs,
                     )
                 (op.weights, op.cal_phases, op.cal_amps, op.phase_lut,
-                 op.amp_row, op.amplitude_readout) = tables[op.operation]
+                 op.amp_row, op.amplitude_readout, op.table, op.table_live,
+                 op.channel_base) = tables[op.operation]
         # Cross-op packing: one block-diagonal weight matrix per level
         # (memoised per operation combination -- levels sharing a combo
         # share one matrix).  Single-op levels use the operation's
@@ -371,40 +409,46 @@ class CompiledCircuit:
             failed[:] = False
         return buf, failed
 
-    def _excite_buffer(self, level_index, plan, n_groups):
-        """Reusable excitation block of one level: rows x packed sources.
+    def _fault_entry(self, op, fault):
+        """``(calibration, table)`` of ``op``'s operation under ``fault``.
 
-        Off-segment entries are *structural zeros*: they are never
-        written after allocation, and each op's segment is fully
-        overwritten per run, so reuse keeps the cross-op GEMM exact.
+        The calibration comes from the bindings' faulted simulator
+        (constructing it validates the fault coordinates) and *includes*
+        the fault: the inherited calibration path builds the zero-word
+        bank and mutates it.  The flat channel table decodes every input
+        pattern's excitation, victim column mutated as in the level
+        GEMM, against it.  A fault that silences the all-zeros reference
+        exactly on some channel gets calibration ``None`` and a table
+        that is dead everywhere: every row of that cell decodes dead,
+        like the scalar reference's per-entry calibration failure.
+        Entries live in an LRU of :data:`FAULT_CACHE_ENTRIES`, so clients
+        sending ever new faults cannot grow a warm artifact without
+        bound.
         """
-        key = (level_index, n_groups)
-        excite = self._excite_buffers.get(key)
-        if excite is None:
-            rows = sum(op.n_cells for op in plan.ops) * n_groups
-            excite = np.zeros((rows, plan.n_sources), dtype=complex)
-            self._excite_buffers[key] = excite
-        return excite
-
-    def _fault_calibration(self, operation, fault):
-        """Per-(operation, fault) calibration rows; None when undecodable.
-
-        Faulted calibration *includes* the fault (the inherited
-        calibration path builds the zero-word bank and mutates it), so a
-        fault that silences the all-zeros reference exactly on some
-        channel yields None here and every row of that cell decodes
-        dead, exactly like the scalar reference's per-entry calibration
-        failure.
-        """
-        key = (operation, fault)
-        if key not in self._faulty_cal:
-            # Constructing the simulator validates the fault coordinates.
-            simulator = self.bindings.faulty_simulator(operation, fault)
-            try:
-                self._faulty_cal[key] = simulator.calibration_arrays()
-            except SimulationError:
-                self._faulty_cal[key] = None
-        return self._faulty_cal[key]
+        key = (op.operation, fault)
+        entry = self._fault_cache.get(key)
+        if entry is not None:
+            self._fault_cache.move_to_end(key)
+            return entry
+        simulator = self.bindings.faulty_simulator(op.operation, fault)
+        try:
+            calibration = simulator.calibration_arrays()
+        except SimulationError:
+            calibration = None
+        bits = input_patterns(self.n_bits, op.n_inputs).reshape(
+            -1, op.weights.shape[0]
+        )
+        amplitude = np.array(np.broadcast_to(op.amp_row, bits.shape))
+        phase = op.phase_lut[bits]
+        _apply_fault(amplitude, phase, fault, op.n_inputs)
+        table = decode_channel_table(
+            (amplitude * np.exp(1j * phase)) @ op.weights, calibration,
+            op.amplitude_readout,
+        )
+        entry = self._fault_cache[key] = (calibration, _flat(table))
+        if len(self._fault_cache) > FAULT_CACHE_ENTRIES:
+            self._fault_cache.popitem(last=False)
+        return entry
 
     @staticmethod
     def _derived_noise(context, physical_index):
@@ -480,7 +524,16 @@ class CompiledCircuit:
         draws = {}
         registry = obs.get_registry() if registry is None else registry
         registry.inc("circuit.packed_runs")
-        for level_index, plan in enumerate(self.levels):
+        # Groups whose rows run the GEMM: every group in trace mode,
+        # groups with amplitude or phase noise in phasor mode.
+        gemm_groups = [
+            mode == "trace" or (noise is not None and noise.perturbs_sources)
+            for noise, _, _ in contexts
+        ]
+        if not any(gemm_groups):
+            gemm_groups = None
+        faulted = set().union(*group_faults)
+        for plan in self.levels:
             if plan.v_out is not None:
                 source = buf[plan.v_src]
                 buf[plan.v_out] = np.where(
@@ -488,12 +541,11 @@ class CompiledCircuit:
                 )
             op_data = []
             if plan.ops:
-                registry.inc("circuit.level_gemms")
                 with registry.span(f"circuit/level/{mode}"):
                     self._execute_level(
-                        level_index, plan, mode, buf, failed, n_groups,
-                        n_valid, contexts, group_faults, draws, op_data,
-                        dead_meta,
+                        plan, mode, buf, failed, n_groups, n_valid,
+                        contexts, group_faults, faulted, gemm_groups,
+                        draws, op_data, dead_meta, registry,
                     )
             level_data.append(op_data)
         return _PackedRun(
@@ -530,140 +582,45 @@ class CompiledCircuit:
             ).view(float)
         return plan.trace_weights
 
-    def _execute_level(self, level_index, plan, mode, buf, failed, n_groups,
-                       n_valid, contexts, group_faults, draws, op_data,
-                       dead_meta):
-        """One cross-op packed GEMM evaluates every physical cell.
+    def _execute_level(self, plan, mode, buf, failed, n_groups, n_valid,
+                       contexts, group_faults, faulted, gemm_groups, draws,
+                       op_data, dead_meta, registry):
+        """Decode every physical cell of one level.
 
-        Both modes share the excitation, its noise and fault mutations
-        and the calibration rows.  Trace mode multiplies by
-        :meth:`_trace_weights` instead of the propagation weights, adds
-        additive trace noise (:meth:`_add_trace_noise`) and keeps the
-        lock-in decoder's dead rule (a phase-readout carrier under
-        :data:`~repro.core.readout.MIN_AMPLITUDE_RATIO` of its
-        reference).
+        Rows are (cell, word group) pairs.  Rows outside ``gemm_groups``
+        are a gather from their operation's channel table
+        (:meth:`_gather`); the rest -- source-noise rows and every trace
+        row -- run one cross-op GEMM (:meth:`_gemm_decode`), whose
+        decode overwrites those rows.  Dead marking, the failed mask and
+        the per-op records below are shared by both routes.
         """
-        trace = mode == "trace"
         n_bits = self.n_bits
         padded = n_groups * n_bits
-        excite = self._excite_buffer(level_index, plan, n_groups)
-        jobs = []
-        trace_noise = []
-        row_offset = 0
-        for op_index, op in enumerate(plan.ops):
-            n_cells, n_inputs = op.n_cells, op.n_inputs
-            rows = n_cells * n_groups
-            n_sources = n_inputs * n_bits
-            # Gather fanin bits channel-major: column c*F + f carries
-            # fanin f's bit on channel c -- the exact source order of
-            # build_source_bank.
-            bits = (
-                buf[op.fanin_slots]
-                .reshape(n_cells, n_inputs, n_groups, n_bits)
-                .transpose(0, 2, 3, 1)
-                .reshape(rows, n_sources)
-            )
-            phase = op.phase_lut[bits]
-            amplitude = np.broadcast_to(op.amp_row, (rows, n_sources))
-            row_refs = None
-            forced_dead = None
-            mutate = any(contexts[g][0] is not None for g in range(n_groups))
-            mutate = mutate or any(
-                name in faults
-                for faults in group_faults for name in op.names
-            )
-            if mutate:
-                amplitude = np.array(amplitude)
-                for cell_index, name in enumerate(op.names):
-                    physical_index = op.physical_indices[cell_index]
-                    for group in range(n_groups):
-                        row = cell_index * n_groups + group
-                        noise = self._derived_noise(
-                            contexts[group], physical_index
-                        )
-                        if trace and noise is not None and noise.trace_sigma:
-                            trace_noise.append((op, row_offset + row, noise))
-                        if noise is not None and noise.perturbs_sources:
-                            # Keyed by arity too: derived seeds can
-                            # collide across coalesced requests with
-                            # different group counts, and a colliding
-                            # draw must still match this op's width.
-                            draw_key = (noise, n_sources)
-                            if draw_key not in draws:
-                                draws[draw_key] = (
-                                    noise.source_perturbations(n_sources)
-                                )
-                            factor, phase_offset, _ = draws[draw_key]
-                            amplitude[row] *= factor
-                            phase[row] += phase_offset
-                        fault = group_faults[group].get(name)
-                        if fault is None:
-                            continue
-                        # Calibration first: constructing the faulty
-                        # simulator validates the fault coordinates.
-                        calibration = self._fault_calibration(
-                            op.operation, fault
-                        )
-                        if row_refs is None:
-                            row_refs = (
-                                np.broadcast_to(
-                                    op.cal_phases, (rows, n_bits)
-                                ).copy(),
-                                np.broadcast_to(
-                                    op.cal_amps, (rows, n_bits)
-                                ).copy(),
-                            )
-                            forced_dead = np.zeros(rows, dtype=bool)
-                        if calibration is None:
-                            forced_dead[row] = True
-                            row_refs[0][row] = 0.0
-                            row_refs[1][row] = 1.0
-                        else:
-                            row_refs[0][row] = calibration[0]
-                            row_refs[1][row] = calibration[1]
-                        # Fault lands after noise, on the victim column.
-                        column = fault.channel * n_inputs + fault.input_index
-                        if fault.kind == "dead-source":
-                            amplitude[row, column] = 0.0
-                        elif fault.kind == "weak-source":
-                            amplitude[row, column] *= fault.severity
-                        elif fault.kind == "stuck-phase-0":
-                            phase[row, column] = 0.0
-                        else:  # stuck-phase-1
-                            phase[row, column] = math.pi
-            excite[
-                row_offset : row_offset + rows,
-                op.src_offset : op.src_offset + n_sources,
-            ] = amplitude * np.exp(1j * phase)
-            jobs.append((op_index, op, row_offset, rows, row_refs,
-                         forced_dead))
-            row_offset += rows
-        dead_rule = {}
-        if trace:
-            phasors = (excite.view(float) @ self._trace_weights(plan)).view(
-                complex
-            )
-            if trace_noise:
-                self._add_trace_noise(phasors, trace_noise, draws)
-            dead_rule["min_amplitude_ratio"] = MIN_AMPLITUDE_RATIO
+        fanins = [buf[op.fanin_slots] for op in plan.ops]
+        all_gemm = gemm_groups is not None and all(gemm_groups)
+        if gemm_groups is None:
+            decoded = [None] * len(plan.ops)
         else:
-            phasors = excite @ plan.weights
-        for op_index, op, row_start, rows, row_refs, forced_dead in jobs:
-            block = phasors[
-                row_start : row_start + rows,
-                op.det_offset : op.det_offset + n_bits,
-            ]
-            if row_refs is None:
-                ref_phases, ref_amps = op.cal_phases, op.cal_amps
-            else:
-                ref_phases, ref_amps = row_refs
-            bits, _, amplitudes, margins, dead = decode_phasor_block(
-                block, ref_phases, ref_amps,
-                amplitude_readout=op.amplitude_readout, **dead_rule,
+            registry.inc("circuit.level_gemms")
+            decoded = self._gemm_decode(
+                plan, mode, fanins, gemm_groups, n_groups, contexts,
+                group_faults, faulted, draws,
             )
-            dead_rows = dead.any(axis=1)
-            if forced_dead is not None:
-                dead_rows |= forced_dead
+        if not all_gemm:
+            registry.inc("circuit.level_gathers")
+        for op_index, (op, fanin, gemm) in enumerate(
+            zip(plan.ops, fanins, decoded)
+        ):
+            if all_gemm:
+                bits, margins, amplitudes, dead_rows = gemm
+            else:
+                bits, margins, amplitudes, dead_rows = self._gather(
+                    op, fanin, n_groups, group_faults, faulted, gemm_groups
+                )
+                if gemm is not None:
+                    rows = np.flatnonzero(np.tile(gemm_groups, op.n_cells))
+                    (bits[rows], margins[rows], amplitudes[rows],
+                     dead_rows[rows]) = gemm
             if dead_rows.any():
                 bits = np.where(dead_rows[:, None], 0, bits)
                 margins = np.where(dead_rows[:, None], math.nan, margins)
@@ -687,6 +644,171 @@ class CompiledCircuit:
                 amplitudes.reshape(op.n_cells, n_groups, n_bits),
                 dead_rows.reshape(op.n_cells, n_groups),
             ))
+
+    def _gather(self, op, fanin, n_groups, group_faults, faulted,
+                gemm_groups):
+        """``(bits, margins, amplitudes, dead_rows)`` of every row of one
+        op from its channel tables: ``(n_cells * n_groups, n_bits)``
+        arrays and, per row, whether any of its entries is dead.
+
+        Entry ``j`` of a row reads channel ``j mod n_bits`` at the
+        pattern ``OR_f fanin_f << f``.  A faulted cell's rows outside
+        ``gemm_groups`` read the fault's table, stacked after the
+        nominal one.
+        """
+        pattern = fanin[:, 0]
+        for f in range(1, op.n_inputs):
+            pattern = pattern | (fanin[:, f] << f)
+        index = pattern.reshape(-1, self.n_bits) + op.channel_base
+        table = op.table
+        if faulted and not faulted.isdisjoint(op.names):
+            stack = {}
+            for cell_index, name in enumerate(op.names):
+                for group, faults in enumerate(group_faults):
+                    fault = faults.get(name)
+                    if fault is None or (
+                        gemm_groups is not None and gemm_groups[group]
+                    ):
+                        continue
+                    if fault not in stack:
+                        stack[fault] = len(stack) + 1
+                    index[cell_index * n_groups + group] += (
+                        stack[fault] * table[0].size
+                    )
+            if stack:
+                tables = [table] + [
+                    self._fault_entry(op, fault)[1] for fault in stack
+                ]
+                table = [np.concatenate(column) for column in zip(*tables)]
+        bits, margins, amplitudes, dead = table
+        if table is op.table and op.table_live:
+            dead_rows = np.zeros(index.shape[0], dtype=bool)
+        else:
+            dead_rows = dead.take(index).any(axis=1)
+        return (bits.take(index), margins.take(index),
+                amplitudes.take(index), dead_rows)
+
+    def _gemm_decode(self, plan, mode, fanins, gemm_groups, n_groups,
+                     contexts, group_faults, faulted, draws):
+        """Decode the rows of ``gemm_groups`` through one cross-op GEMM.
+
+        Builds only those rows' excitation -- fanin bits channel-major,
+        the source order of ``build_source_bank`` -- applies their noise
+        draws and then their fault mutations, and multiplies it by the
+        level's block-stacked propagation weights.  Trace mode uses
+        :meth:`_trace_weights` instead, adds additive trace noise
+        (:meth:`_add_trace_noise`) and keeps the lock-in decoder's dead
+        rule (a phase-readout carrier under
+        :data:`~repro.core.readout.MIN_AMPLITUDE_RATIO` of its
+        reference).  Returns, per op, ``(bits, margins, amplitudes,
+        dead_rows)`` over its rows in those groups, cell-major.
+        """
+        trace = mode == "trace"
+        n_bits = self.n_bits
+        groups = [group for group, gemm in enumerate(gemm_groups) if gemm]
+        noisy = any(contexts[group][0] is not None for group in groups)
+        excite = np.zeros(
+            (sum(op.n_cells for op in plan.ops) * len(groups),
+             plan.n_sources),
+            dtype=complex,
+        )
+        jobs = []
+        trace_noise = []
+        row_offset = 0
+        for op, fanin in zip(plan.ops, fanins):
+            n_cells, n_inputs = op.n_cells, op.n_inputs
+            n_sources = n_inputs * n_bits
+            fanin = fanin.reshape(n_cells, n_inputs, n_groups, n_bits)
+            if len(groups) < n_groups:
+                fanin = fanin[:, :, groups]
+            bits = fanin.transpose(0, 2, 3, 1).reshape(-1, n_sources)
+            n_rows = len(bits)
+            phase = op.phase_lut[bits]
+            amplitude = np.broadcast_to(op.amp_row, bits.shape)
+            refs = forced_dead = None
+            if noisy or not faulted.isdisjoint(op.names):
+                amplitude = np.array(amplitude)
+                cells = (
+                    (cell_index, name, physical_index, group)
+                    for cell_index, (name, physical_index) in enumerate(
+                        zip(op.names, op.physical_indices)
+                    )
+                    for group in groups
+                )
+                for i, (cell_index, name, physical_index, group) in (
+                    enumerate(cells)
+                ):
+                    noise = self._derived_noise(
+                        contexts[group], physical_index
+                    )
+                    if trace and noise is not None and noise.trace_sigma:
+                        trace_noise.append((op, row_offset + i, noise))
+                    if noise is not None and noise.perturbs_sources:
+                        # Keyed by arity too: derived seeds can collide
+                        # across coalesced requests with different group
+                        # counts, and a colliding draw must still match
+                        # this op's width.
+                        draw_key = (noise, n_sources)
+                        if draw_key not in draws:
+                            draws[draw_key] = (
+                                noise.source_perturbations(n_sources)
+                            )
+                        factor, phase_offset, _ = draws[draw_key]
+                        amplitude[i] *= factor
+                        phase[i] += phase_offset
+                    fault = group_faults[group].get(name)
+                    if fault is None:
+                        continue
+                    calibration, _ = self._fault_entry(op, fault)
+                    if calibration is None:
+                        if forced_dead is None:
+                            forced_dead = np.zeros(n_rows, dtype=bool)
+                        forced_dead[i] = True
+                    else:
+                        if refs is None:
+                            refs = (
+                                np.broadcast_to(
+                                    op.cal_phases, (n_rows, n_bits)
+                                ).copy(),
+                                np.broadcast_to(
+                                    op.cal_amps, (n_rows, n_bits)
+                                ).copy(),
+                            )
+                        refs[0][i], refs[1][i] = calibration
+                    # Fault lands after noise.
+                    _apply_fault(amplitude[i], phase[i], fault, n_inputs)
+            excite[
+                row_offset : row_offset + n_rows,
+                op.src_offset : op.src_offset + n_sources,
+            ] = amplitude * np.exp(1j * phase)
+            jobs.append((op, row_offset, n_rows, refs, forced_dead))
+            row_offset += n_rows
+        dead_rule = {}
+        if trace:
+            phasors = (excite.view(float) @ self._trace_weights(plan)).view(
+                complex
+            )
+            if trace_noise:
+                self._add_trace_noise(phasors, trace_noise, draws)
+            dead_rule["min_amplitude_ratio"] = MIN_AMPLITUDE_RATIO
+        else:
+            phasors = excite @ plan.weights
+        decoded = []
+        for op, row_start, n_rows, refs, forced_dead in jobs:
+            block = phasors[
+                row_start : row_start + n_rows,
+                op.det_offset : op.det_offset + n_bits,
+            ]
+            ref_phases, ref_amps = refs or (op.cal_phases, op.cal_amps)
+            bits, _, amplitudes, margins, dead = decode_phasor_block(
+                block, ref_phases, ref_amps,
+                amplitude_readout=op.amplitude_readout, **dead_rule,
+            )
+            dead_rows = dead.any(axis=1)
+            if forced_dead is not None:
+                dead_rows |= forced_dead
+            decoded.append((bits, margins, amplitudes, dead_rows))
+        return decoded
 
     def _add_trace_noise(self, phasors, trace_noise, draws):
         """Add the lock-in of each ``(op, row, noise)`` entry's one

@@ -390,8 +390,9 @@ class CircuitEngine:
             physics, composed into one matrix per gate).
 
         The batch executes through the compile-once artifact
-        (:meth:`compiled`): one cross-op GEMM per level in either mode,
-        preallocated buffers, zero per-run Python-list churn.  Placement
+        (:meth:`compiled`): nominal and faulted phasor cells gather
+        their channel truth tables, noisy and trace rows run one
+        cross-op GEMM per level, into preallocated buffers.  Placement
         noise (per-row geometry) and an artifact whose cells fail
         calibration run through :meth:`run_scalar` instead.
 

@@ -3,9 +3,10 @@
 A :class:`CircuitExecutor` serves *many* logical circuit-evaluation
 requests -- potentially over many distinct netlists -- from one shared
 :class:`~repro.circuits.library.GateBindings` (one waveguide model, one
-gate template and one memoised weight and trace demodulation matrix per
-operation) and one :class:`~repro.circuits.compiled.CompiledCircuitCache`
-of packed artifacts.
+gate template and one memoised channel truth table, weight matrix and
+trace demodulation matrix per operation) and one
+:class:`~repro.circuits.compiled.CompiledCircuitCache` of packed
+artifacts.
 
 Requests enter through :meth:`CircuitExecutor.submit`, which returns an
 :class:`ExecutionTicket` immediately; the executor **coalesces** queued
@@ -13,9 +14,10 @@ requests that share a coalescing key -- netlist *signature* (content
 hash, so structurally equal netlists coalesce even as distinct objects),
 execution mode and strictness -- into maximal padded word blocks, and
 executes each block through one packed artifact pass
-(:meth:`~repro.circuits.compiled.CompiledCircuit.execute_block`): one
-cross-op GEMM per level covers every queued request's word groups at
-once.  Per-group noise contexts and fault maps keep each request's
+(:meth:`~repro.circuits.compiled.CompiledCircuit.execute_block`): per
+level, one table gather covers every queued request's nominal and
+faulted phasor word groups, and one cross-op GEMM the groups with
+source noise and every trace group.  Per-group noise contexts and fault maps keep each request's
 realisations bit-identical to a standalone :meth:`CircuitEngine.run`
 call (pinned by ``tests/test_circuit_conformance.py``).
 
@@ -34,7 +36,7 @@ threads may submit concurrently; tickets resolve through a
 Placement-noise requests skip coalescing and are served eagerly as
 *fallbacks* through the scalar reference
 :meth:`~repro.circuits.engine.CircuitEngine.run_scalar`: each row's
-geometry differs, while the packed GEMMs of both modes bake the nominal
+geometry differs, while the packed tables and GEMMs bake the nominal
 geometry in.  A netlist whose artifact cannot calibrate also runs the
 scalar reference, which raises the calibration failure lazily.
 

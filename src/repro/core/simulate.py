@@ -27,6 +27,7 @@ the ``llg-x`` experiment).
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,20 @@ class GateRunResult:
     def min_margin(self):
         """Smallest per-channel decision margin of this run."""
         return min(d.margin for d in self.decodes)
+
+
+class ChannelTable(NamedTuple):
+    """Steady-state decode of every (channel, input pattern) of a gate.
+
+    Each field is a read-only ``(n_bits, 2 ** n_inputs)`` array; column
+    ``p`` is the pattern whose input ``f`` carries bit ``(p >> f) & 1``.
+    ``dead`` marks undecodable entries (their other fields are filler).
+    """
+
+    bits: np.ndarray
+    margins: np.ndarray
+    amplitudes: np.ndarray
+    dead: np.ndarray
 
 
 class GateSimulator:
@@ -162,6 +177,7 @@ class GateSimulator:
         self._nominal_geometry = None
         self._nominal_weights = None
         self._trace_demod = None
+        self._channel_table = None
 
     # ------------------------------------------------------------------
     # Source construction
@@ -690,6 +706,33 @@ class GateSimulator:
             )
         return self._nominal_weights
 
+    def channel_table(self):
+        """The gate's steady-state truth table, one row per channel.
+
+        Channels share the waveguide without interacting (every
+        cross-frequency entry of :meth:`nominal_weights` is a structural
+        zero), so in phasor mode the decode of channel ``c`` depends only
+        on that channel's ``n_inputs`` input bits.  One source bank
+        holding every input pattern on every channel -- built by the
+        array-native source path, so a subclass's
+        :meth:`mutate_source_bank` (a fault) applies -- runs through
+        :meth:`_phasor_block` and :func:`~repro.core.readout.decode_phasor_block`
+        against :meth:`calibration_arrays` (:func:`decode_channel_table`).
+        Returns a :class:`ChannelTable`; built on first use and memoised.
+        """
+        if self._channel_table is None:
+            patterns = input_patterns(self.gate.n_bits, self.layout.n_inputs)
+            bank = self._bank_from_bits(patterns, [None] * len(patterns))
+            try:
+                reference = self.calibration_arrays()
+            except SimulationError:
+                reference = None
+            self._channel_table = decode_channel_table(
+                self._phasor_block(bank), reference,
+                self.gate.kind.uses_amplitude_readout,
+            )
+        return self._channel_table
+
     def trace_demodulation(self):
         """The ``(2 * n_sources, n_bits)`` fused trace demodulation matrix.
 
@@ -884,6 +927,43 @@ class GateSimulator:
                 )
             )
         return results
+
+
+def input_patterns(n_bits, n_inputs):
+    """Every input pattern on every channel: an ``(2**n_inputs, n_bits,
+    n_inputs)`` bit array whose row ``p`` sets input ``f`` of each
+    channel to ``(p >> f) & 1`` (the layout of
+    :meth:`~repro.core.gate.DataParallelGate.physical_input_bit_array`)."""
+    n_patterns = 2 ** n_inputs
+    bits = (np.arange(n_patterns)[:, None] >> np.arange(n_inputs)) & 1
+    return np.broadcast_to(bits[:, None, :], (n_patterns, n_bits, n_inputs))
+
+
+def decode_channel_table(phasors, reference, amplitude_readout):
+    """The :class:`ChannelTable` of :func:`input_patterns` phasors.
+
+    ``phasors`` is the ``(2**n_inputs, n_bits)`` steady-state block of
+    those patterns, ``reference`` the ``(phases, amplitudes)``
+    calibration rows, or None for a gate that cannot calibrate: its
+    table is dead everywhere.  Fields are frozen.
+    """
+    shape = phasors.shape[::-1]
+    if reference is None:
+        fields = (
+            np.zeros(shape, dtype=np.int64),
+            np.full(shape, math.nan),
+            np.full(shape, math.nan),
+            np.ones(shape, dtype=bool),
+        )
+    else:
+        bits, _, amplitudes, margins, dead = decode_phasor_block(
+            phasors, *reference, amplitude_readout=amplitude_readout,
+        )
+        fields = (bits.T, margins.T, amplitudes.T, dead.T)
+    fields = [np.ascontiguousarray(array) for array in fields]
+    for array in fields:
+        array.setflags(write=False)
+    return ChannelTable(*fields)
 
 
 def _wrap(phase):

@@ -25,6 +25,7 @@ from repro.circuits import (
     CellFault,
     CircuitEngine,
     CircuitExecutor,
+    GateBindings,
     Netlist,
     full_adder,
     majority_tree,
@@ -552,22 +553,15 @@ class TestFaultInjection:
     def test_dead_decode_strict_vs_lenient(self, monkeypatch):
         """A decode failure raises under strict and marks entries else."""
         netlist, _, _ = full_adder()
-        engine = CircuitEngine(netlist, n_bits=2)
+        bindings = GateBindings(n_bits=2)
+        simulator = bindings.simulator("XOR2")
+        table = simulator.channel_table()
+        monkeypatch.setattr(  # kill every XOR decode
+            simulator, "channel_table",
+            lambda: table._replace(dead=np.ones_like(table.dead)),
+        )
+        engine = CircuitEngine(netlist, bindings=bindings)
         batch = exhaustive_batch(netlist)[:2]
-
-        from repro.circuits import compiled
-
-        decode = compiled.decode_phasor_block
-
-        def dying(*args, amplitude_readout=False):
-            bits, phases, amplitudes, margins, dead = decode(
-                *args, amplitude_readout=amplitude_readout
-            )
-            if amplitude_readout:
-                dead = np.ones_like(dead)  # kill every XOR decode
-            return bits, phases, amplitudes, margins, dead
-
-        monkeypatch.setattr(compiled, "decode_phasor_block", dying)
         with pytest.raises(SimulationError, match="failed to decode"):
             engine.run(batch)
         result = engine.run(batch, strict=False)

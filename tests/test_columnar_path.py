@@ -189,19 +189,20 @@ class TestLazyCells:
     def test_cells_survive_scratch_reuse(self, monkeypatch):
         """Request A's records, read only after blocks B and C reused the
         artifact's buffers, equal the eager per-op records of a
-        scalar run -- with group 0 of every cell decoding dead."""
-        from repro.circuits import compiled
+        scalar run -- with group 0 of every cell decoding dead.
 
-        decode = compiled.decode_phasor_block
-
-        def group0_dead(*args, **kwargs):
-            bits, phases, amplitudes, margins, dead = decode(*args, **kwargs)
-            dead = dead.copy()
-            dead[0] = True
-            return bits, phases, amplitudes, margins, dead
-
-        monkeypatch.setattr(compiled, "decode_phasor_block", group0_dead)
+        The XOR2 channel table marks channel 0's pattern ``a=0, b=1``
+        dead: entry 0 hits it in ``x``, and, with ``x`` dead (read as
+        0) and ``c=1``, again in ``y``; entry 2 (group 1) never does.
+        """
         executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        simulator = executor.bindings.simulator("XOR2")
+        table = simulator.channel_table()
+        dead = table.dead.copy()
+        dead[0, 0b10] = True
+        monkeypatch.setattr(
+            simulator, "channel_table", lambda: table._replace(dead=dead)
+        )
         netlist = xor_pair()
         first = executor.submit(netlist, BATCH, strict=False).result()
         assert isinstance(first.cells, LazyCellRecords)

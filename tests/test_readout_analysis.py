@@ -10,6 +10,7 @@ from repro.analysis.phase import (
     decode_phase_to_bit,
     fft_phasor,
     lock_in,
+    lock_in_window,
     phase_at,
 )
 from repro.analysis.spectra import (
@@ -128,6 +129,27 @@ class TestLockIn:
         t = np.arange(0, 1e-9, 1e-12)
         with pytest.raises(ReadoutError):
             phase_at(t, np.zeros_like(t), 10e9)
+
+    @staticmethod
+    def _noisy_block():
+        t = np.arange(3926) / 1.6e12
+        signal = np.random.default_rng(5).normal(size=(64, t.size))
+        return t, signal
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_matches_complex_reference_product(self, batched):
+        """The real (re, im) product equals the direct complex one."""
+        t, signal = self._noisy_block()
+        if not batched:
+            signal = signal[0]
+        index, reference, dt, duration = lock_in_window(
+            t, 10e9, t_start=t[1000]
+        )
+        direct = 2.0 * (signal[..., index] @ reference * dt) / duration
+        z = lock_in(t, signal, 10e9, t_start=t[1000])
+        assert np.shape(z) == np.shape(direct)
+        assert np.iscomplexobj(z)
+        np.testing.assert_allclose(z, direct, rtol=1e-12, atol=0.0)
 
 
 class TestFftPhasor:
