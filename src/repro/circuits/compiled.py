@@ -412,15 +412,17 @@ class CompiledCircuit:
     def _fault_entry(self, op, fault):
         """``(calibration, table)`` of ``op``'s operation under ``fault``.
 
-        The calibration comes from the bindings' faulted simulator
-        (constructing it validates the fault coordinates) and *includes*
-        the fault: the inherited calibration path builds the zero-word
-        bank and mutates it.  The flat channel table decodes every input
-        pattern's excitation, victim column mutated as in the level
-        GEMM, against it.  A fault that silences the all-zeros reference
-        exactly on some channel gets calibration ``None`` and a table
-        that is dead everywhere: every row of that cell decodes dead,
-        like the scalar reference's per-entry calibration failure.
+        One GEMM gives every input pattern's phasors, victim column
+        mutated as in the level GEMM.  Pattern 0 is the all-zeros word,
+        so its row is the faulted calibration reference: the bindings'
+        faulted simulator (constructing it validates the fault
+        coordinates) calibrates from it (:meth:`GateSimulator.calibrate_from
+        <repro.core.simulate.GateSimulator.calibrate_from>`), and the
+        flat channel table decodes every row against it.  A fault that
+        silences the all-zeros reference exactly on some channel gets
+        calibration ``None`` and a table that is dead everywhere: every
+        row of that cell decodes dead, like the scalar reference's
+        per-entry calibration failure.
         Entries live in an LRU of :data:`FAULT_CACHE_ENTRIES`, so clients
         sending ever new faults cannot grow a warm artifact without
         bound.
@@ -431,19 +433,20 @@ class CompiledCircuit:
             self._fault_cache.move_to_end(key)
             return entry
         simulator = self.bindings.faulty_simulator(op.operation, fault)
-        try:
-            calibration = simulator.calibration_arrays()
-        except SimulationError:
-            calibration = None
         bits = input_patterns(self.n_bits, op.n_inputs).reshape(
             -1, op.weights.shape[0]
         )
         amplitude = np.array(np.broadcast_to(op.amp_row, bits.shape))
         phase = op.phase_lut[bits]
         _apply_fault(amplitude, phase, fault, op.n_inputs)
+        phasors = (amplitude * np.exp(1j * phase)) @ op.weights
+        try:
+            simulator.calibrate_from(phasors[0])
+            calibration = simulator.calibration_arrays()
+        except SimulationError:
+            calibration = None
         table = decode_channel_table(
-            (amplitude * np.exp(1j * phase)) @ op.weights, calibration,
-            op.amplitude_readout,
+            phasors, calibration, op.amplitude_readout
         )
         entry = self._fault_cache[key] = (calibration, _flat(table))
         if len(self._fault_cache) > FAULT_CACHE_ENTRIES:

@@ -21,18 +21,18 @@ source noise and every trace group.  Per-group noise contexts and fault maps kee
 realisations bit-identical to a standalone :meth:`CircuitEngine.run`
 call (pinned by ``tests/test_circuit_conformance.py``).
 
-Flush policy: a queue flushes when its pending word count reaches
-``max_block``, when the oldest queued request exceeds ``max_latency``
-seconds (every submit sweeps *all* queues, whatever else it triggered),
-on an explicit :meth:`flush` or :meth:`sweep`, or when any ticket's
-:meth:`~ExecutionTicket.result` is forced.  The executor itself runs no
-threads -- a long-lived front end (``repro.serve``'s daemon) calls
-:meth:`sweep` from a background flush thread so ``max_latency`` bounds
-queue wait even without fresh traffic.  Submission, flushing and
-fallback execution are serialised by one internal lock, so many
-threads may submit concurrently; tickets resolve through a
-``threading.Event`` and can be awaited without forcing a flush
-(:meth:`ExecutionTicket.result` with ``timeout``).
+Flush policy, counted per reason under ``executor.flushes.``: a queue
+flushes at ``max_block`` words (``full``); with a ``max_latency``
+bound, at once if no other submit under its key came in the last
+``max_latency`` seconds (``alone``: no partner is in sight), or when
+its oldest request is ``max_latency`` old (``deadline``: every submit
+and :meth:`sweep` flush all such queues, and only those); or on
+:meth:`flush` or a forced :meth:`~ExecutionTicket.result` (``forced``).
+The executor runs no threads: a serving front end waits on a ticket
+until its :attr:`~ExecutionTicket.deadline`, then calls :meth:`sweep`.
+One internal lock serialises submission, flushing and fallback
+execution, so many threads may submit; tickets resolve through a
+``threading.Event`` and can be awaited without forcing a flush.
 Placement-noise requests skip coalescing and are served eagerly as
 *fallbacks* through the scalar reference
 :meth:`~repro.circuits.engine.CircuitEngine.run_scalar`: each row's
@@ -64,11 +64,7 @@ from repro import obs as _obs
 from repro.circuits.compiled import CompiledCircuitCache, netlist_signature
 from repro.circuits.engine import CircuitEngine, check_mode, normalise_faults
 from repro.circuits.library import GateBindings, physical_arity
-from repro.errors import (
-    EncodingError,
-    NetlistError,
-    SimulationError,
-)
+from repro.errors import NetlistError, SimulationError
 
 
 def mint_request_id():
@@ -143,7 +139,7 @@ class ExecutionTicket:
 
     __slots__ = (
         "_executor", "_done", "_result", "_error", "_event", "request_id",
-        "trace",
+        "trace", "deadline",
     )
 
     def __init__(self, executor, request_id=None):
@@ -156,6 +152,8 @@ class ExecutionTicket:
             mint_request_id() if request_id is None else str(request_id)
         )
         self.trace = None
+        #: Submit time + ``max_latency`` (``time.monotonic()``), or None.
+        self.deadline = None
 
     def _resolve(self, result=None, error=None, trace=None):
         self._result = result
@@ -233,11 +231,10 @@ class CircuitExecutor:
         Word-count high-water mark per coalescing queue: submitting the
         request that reaches it flushes the queue immediately.
     max_latency:
-        Optional seconds the oldest queued request may wait; every
-        submit sweeps *all* queues against it (the executor starts no
-        threads itself -- a daemon front end such as ``repro.serve``
-        calls :meth:`sweep` periodically so the bound holds without
-        fresh traffic).
+        Optional seconds the oldest queued request may wait, and the
+        window in which a same-key submit counts as a partner (see the
+        module's flush policy).  None: queues flush only on
+        ``max_block`` or when forced.
     cache_size:
         LRU capacity of the compile cache (distinct netlist signatures).
     obs:
@@ -269,6 +266,8 @@ class CircuitExecutor:
     #: flush, block-level flush exceptions, fallback errors and
     #: any other per-request failure (e.g. result construction).
     _ERROR_KEYS = ("decode", "mutated", "flush", "fallback", "request")
+    #: Flush reasons counted under ``executor.flushes.``.
+    _FLUSH_KEYS = ("full", "alone", "deadline", "forced")
 
     def __init__(self, n_bits=8, waveguide=None, transducer=None,
                  bindings=None, max_block=64, max_latency=None,
@@ -304,6 +303,7 @@ class CircuitExecutor:
         self._queues = {}       # key -> list of _Request
         self._queue_words = {}  # key -> pending word count
         self._queue_born = {}   # key -> monotonic time of oldest request
+        self._arrivals = {}     # key -> time of last submit, in order
 
     @property
     def stats(self):
@@ -311,7 +311,8 @@ class CircuitExecutor:
 
         Same keys as the pre-obs ad-hoc dict (``requests``, ``words``,
         ``blocks``, ``coalesced_requests``, ``fallbacks``) plus an
-        ``errors`` sub-dict of per-request failure counters.
+        ``errors`` sub-dict of per-request failure counters and a
+        ``flushes`` sub-dict of queue flushes by reason.
         """
         stats = {
             key: self.obs.counter(f"executor.{key}")
@@ -320,6 +321,10 @@ class CircuitExecutor:
         stats["errors"] = {
             key: self.obs.counter(f"executor.errors.{key}")
             for key in self._ERROR_KEYS
+        }
+        stats["flushes"] = {
+            key: self.obs.counter(f"executor.flushes.{key}")
+            for key in self._FLUSH_KEYS
         }
         return stats
 
@@ -358,24 +363,19 @@ class CircuitExecutor:
         request.faults = list(faults)
         request.fault_map = normalise_faults(netlist, request.faults)
         for cell, fault in request.fault_map.items():
-            # Mirror FaultySimulator's range validation here so a bad
-            # fault raises at its own call site instead of surfacing
-            # mid-flush and failing the whole coalesced block.
-            if not 0 <= fault.channel < self.n_bits:
-                raise EncodingError(
-                    f"fault channel {fault.channel} out of range"
-                )
-            arity = physical_arity(netlist.node(cell).kind)
-            if not 0 <= fault.input_index < arity:
-                raise EncodingError(
-                    f"fault input index {fault.input_index} out of range"
-                )
+            # FaultySimulator's own check, here, so a bad fault raises at
+            # its call site instead of failing a whole coalesced block.
+            fault.check_site(
+                self.n_bits, physical_arity(netlist.node(cell).kind)
+            )
         request.noise = noise
         request.strict = strict
         request.ticket = ExecutionTicket(self, request_id=request_id)
         request.n_entries = len(batch)
         request.signature = netlist_signature(netlist)
         request.born = time.monotonic()
+        if self.max_latency is not None:
+            request.ticket.deadline = request.born + self.max_latency
         if self.trace_requests:
             request.trace = RequestTrace(
                 request_id=request.ticket.request_id, mode=mode,
@@ -394,19 +394,39 @@ class CircuitExecutor:
 
         key = (request.signature, mode, strict)
         with self._lock:
+            partnered = self._note_arrival(key, request.born)
             self._queues.setdefault(key, []).append(request)
             self._queue_words[key] = (
                 self._queue_words.get(key, 0) + request.n_entries
             )
-            self._queue_born.setdefault(key, time.monotonic())
+            self._queue_born.setdefault(key, request.born)
             if self._queue_words[key] >= self.max_block:
-                self._flush_queue(key)
+                self._flush_queue(key, "full")
+            elif not partnered:
+                self._flush_queue(key, "alone")
             # The latency sweep runs unconditionally: a submit that
-            # triggered a max_block flush must still bound *other*
-            # keys' oldest requests, or mixed traffic lets them wait
-            # past max_latency indefinitely.
+            # flushed its own queue must still bound *other* keys'
+            # oldest requests, or mixed traffic lets them wait past
+            # max_latency indefinitely.
             self._sweep_stale()
         return request.ticket
+
+    def _note_arrival(self, key, now):
+        """Record a submit under ``key``; True if another came within
+        ``max_latency`` (always, without a bound).  A returning key moves
+        to the end, so keys that left the window form a prefix, dropped
+        here: the map only holds keys seen within one window."""
+        if self.max_latency is None:
+            return True
+        arrivals = self._arrivals
+        while arrivals:
+            oldest = next(iter(arrivals))
+            if arrivals[oldest] + self.max_latency > now:
+                break
+            del arrivals[oldest]
+        partnered = arrivals.pop(key, None) is not None
+        arrivals[key] = now
+        return partnered
 
     def run(self, netlist, assignments_batch, faults=(), noise=None,
             strict=True, mode="phasor", request_id=None):
@@ -424,16 +444,15 @@ class CircuitExecutor:
         """Execute every pending queue (in submission order of keys)."""
         with self._lock:
             for key in list(self._queues):
-                self._flush_queue(key)
+                self._flush_queue(key, "forced")
 
     def sweep(self):
-        """Flush every queue whose oldest request exceeds ``max_latency``.
+        """Flush every queue whose oldest request is ``max_latency`` old.
 
         Safe to call from any thread at any time (no-op without a
         ``max_latency`` bound or pending traffic); the serving daemon's
-        background flush thread drives this so the latency bound holds
-        even when no new submits arrive.  Returns the number of queues
-        flushed.
+        handlers call it at their ticket's deadline.  Returns the number
+        of queues flushed.
         """
         with self._lock:
             return self._sweep_stale()
@@ -442,12 +461,13 @@ class CircuitExecutor:
         if self.max_latency is None:
             return 0
         now = time.monotonic()
+        # born + max_latency is the oldest ticket's deadline exactly.
         stale = [
             k for k, born in self._queue_born.items()
-            if now - born >= self.max_latency
+            if born + self.max_latency <= now
         ]
         for key in stale:
-            self._flush_queue(key)
+            self._flush_queue(key, "deadline")
         return len(stale)
 
     @property
@@ -456,7 +476,8 @@ class CircuitExecutor:
         with self._lock:
             return sum(self._queue_words.values())
 
-    def _flush_queue(self, key):
+    def _flush_queue(self, key, reason):
+        self.obs.inc(f"executor.flushes.{reason}")
         # Per-key queue state is cleared in the ``finally`` below: a
         # flush that raises anywhere must never leave a stale
         # ``_queue_born`` (or words/requests) entry behind, or the
@@ -676,7 +697,10 @@ class CircuitExecutor:
             f"{stats['coalesced_requests']} coalesced, "
             f"{stats['fallbacks']} fallbacks, "
             f"{errors} errors ({rate} error rate); compile cache "
-            f"{self.cache.hits} hits / {self.cache.misses} misses"
+            f"{self.cache.hits} hits / {self.cache.misses} misses; "
+            "flushes " + ", ".join(
+                f"{n} {reason}" for reason, n in stats["flushes"].items()
+            )
         )
         latency = self.obs.histogram("executor.queue_latency_s")
         if latency is not None and latency["count"]:

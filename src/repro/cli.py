@@ -566,8 +566,8 @@ def build_parser():
         "--max-latency",
         type=float,
         default=0.005,
-        help="seconds a queued word may wait before the background "
-        "flush thread sweeps it out",
+        help="seconds a queued word may wait for coalescing partners; "
+        "a request with no same-key submit in that window runs at once",
     )
     serve_parser.add_argument(
         "--cache-size",

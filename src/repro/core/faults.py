@@ -53,6 +53,16 @@ class TransducerFault:
                 f"weak-source severity must be in (0, 1), got {self.severity!r}"
             )
 
+    def check_site(self, n_bits, n_inputs):
+        """Raise :class:`EncodingError` unless the faulted source exists
+        on a gate of ``n_bits`` channels and ``n_inputs`` inputs."""
+        if not 0 <= self.channel < n_bits:
+            raise EncodingError(f"fault channel {self.channel} out of range")
+        if not 0 <= self.input_index < n_inputs:
+            raise EncodingError(
+                f"fault input index {self.input_index} out of range"
+            )
+
     def describe(self):
         """Short label for reports."""
         text = f"{self.kind}@ch{self.channel}.in{self.input_index}"
@@ -85,12 +95,7 @@ class FaultySimulator(GateSimulator):
 
     def __init__(self, gate, fault, **kwargs):
         super().__init__(gate, **kwargs)
-        if not 0 <= fault.channel < gate.n_bits:
-            raise EncodingError(f"fault channel {fault.channel} out of range")
-        if not 0 <= fault.input_index < gate.layout.n_inputs:
-            raise EncodingError(
-                f"fault input index {fault.input_index} out of range"
-            )
+        fault.check_site(gate.n_bits, gate.layout.n_inputs)
         self.fault = fault
 
     def build_sources(self, words):

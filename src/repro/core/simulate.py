@@ -221,21 +221,28 @@ class GateSimulator:
             # steady_state_phasor per channel, so building many small
             # gates (circuit engine, channel-capacity sweeps) stays cheap.
             bank = self.build_source_bank([self._zero_words()], noises=[None])
-            z_row = self._phasor_block(bank)[0]
-            result = []
-            for channel in range(self.gate.n_bits):
-                z = complex(z_row[channel])
-                if abs(z) == 0:
-                    raise SimulationError(
-                        f"calibration produced zero amplitude on channel "
-                        f"{channel}; check the layout"
-                    )
-                phase = cmath.phase(z)
-                if self.layout.inverted_outputs[channel]:
-                    phase -= math.pi
-                result.append((phase, abs(z)))
-            self._calibration = result
+            self.calibrate_from(self._phasor_block(bank)[0])
         return self._calibration
+
+    def calibrate_from(self, zero_phasors):
+        """Set :meth:`calibration` from ``zero_phasors``, the all-zeros
+        steady-state phasor of each channel, when the caller already
+        holds it (the packed circuit path's faulted table GEMM does)
+        instead of building the one-row source bank.  Raises
+        :class:`SimulationError` on a channel of exactly zero amplitude.
+        """
+        result = []
+        for channel, z in enumerate(zero_phasors.tolist()):
+            if abs(z) == 0:
+                raise SimulationError(
+                    f"calibration produced zero amplitude on channel "
+                    f"{channel}; check the layout"
+                )
+            phase = cmath.phase(z)
+            if self.layout.inverted_outputs[channel]:
+                phase -= math.pi
+            result.append((phase, abs(z)))
+        self._calibration = result
 
     # ------------------------------------------------------------------
     # Timing

@@ -7,7 +7,8 @@ JSON-over-HTTP daemon (:class:`~repro.serve.daemon.CircuitServer`,
 (:class:`~repro.serve.client.ServeClient`, ``swgate serve --send``) and
 the wire codecs both share (:mod:`repro.serve.protocol`).  Concurrent
 clients' word batches coalesce into shared packed GEMM blocks; a
-background flush thread enforces the executor's ``max_latency`` bound;
+request with no partner in sight runs at once, and each handler
+enforces the executor's ``max_latency`` bound at its own deadline;
 ``/metrics`` and ``/stats`` export the ``repro.obs`` registry the
 executor already records into (``?format=prometheus`` for scrapers);
 every ``/v1/run`` returns a per-request timing trace and lands in a

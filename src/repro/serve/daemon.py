@@ -5,11 +5,12 @@ coalescing :class:`~repro.circuits.executor.CircuitExecutor`: a
 stdlib-only ``ThreadingHTTPServer`` whose handler threads submit
 requests and *wait* on their tickets instead of forcing a flush, so
 concurrent clients' word batches coalesce into shared packed GEMM
-blocks exactly as in-process submitters' do.  A background **flush
-thread** calls :meth:`CircuitExecutor.sweep` every
-``flush_interval`` seconds, so the executor's ``max_latency`` bound
-holds even when no fresh traffic arrives to piggyback on -- the
-daemon's end of the executor's lifecycle contract.
+blocks exactly as in-process submitters' do.  A request with no
+same-key partner in sight flushes inside its own submit; one that
+waits for partners is bounded by its own handler, which waits until
+the ticket's deadline (submit time + ``max_latency``) and then calls
+:meth:`CircuitExecutor.sweep` -- flushing only queues that are that
+old, so no thread polls and no young queue leaves early.
 
 Endpoints::
 
@@ -54,7 +55,7 @@ from repro import obs as _obs
 from repro.circuits.executor import CircuitExecutor, mint_request_id
 from repro.serve import protocol
 
-#: Fallback handler-side wait bound (seconds) when the executor has no
+#: Handler-side wait bound (seconds) when the executor has no
 #: ``max_latency`` (tickets then resolve via max_block or this force).
 _DEFAULT_WAIT = 0.05
 
@@ -206,7 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class CircuitServer:
-    """One serving daemon: HTTP front end + flush thread + executor.
+    """One serving daemon: HTTP front end + executor.
 
     Parameters
     ----------
@@ -224,11 +225,6 @@ class CircuitServer:
         :class:`~repro.circuits.netlist.Netlist` objects to compile
         into the executor's cache before serving
         (:meth:`CircuitExecutor.warm`).
-    flush_interval:
-        Seconds between background :meth:`CircuitExecutor.sweep` calls;
-        defaults to half the executor's ``max_latency`` (no thread when
-        the executor has no latency bound -- tickets then resolve via
-        ``max_block`` or the handler's own wait deadline).
     trace_requests:
         Forwarded to the internally-built executor: when true (the
         default) every ``/v1/run`` response carries its per-request
@@ -252,7 +248,7 @@ class CircuitServer:
     def __init__(self, executor=None, host="127.0.0.1", port=0, *,
                  n_bits=8, bindings=None, max_block=64,
                  max_latency=0.005, cache_size=16, obs=None, warm=(),
-                 flush_interval=None, trace_requests=True, events=None,
+                 trace_requests=True, events=None,
                  access_log=None, log_capacity=512, slow_request_s=0.5):
         if events is None and log_capacity:
             events = _obs.EventLog(capacity=log_capacity, sink=access_log)
@@ -275,14 +271,9 @@ class CircuitServer:
         self.obs = executor.obs
         if warm:
             executor.warm(warm)
-        if flush_interval is None and executor.max_latency is not None:
-            flush_interval = max(executor.max_latency / 2.0, 0.001)
-        self.flush_interval = flush_interval
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.app = self
         self._started = time.monotonic()
-        self._stop = threading.Event()
-        self._flush_thread = None
         self._serve_thread = None
 
     # -- address -------------------------------------------------------
@@ -300,23 +291,8 @@ class CircuitServer:
         return f"http://{self.host}:{self.port}"
 
     # -- lifecycle -----------------------------------------------------
-    def _flush_loop(self):
-        while not self._stop.wait(self.flush_interval):
-            self.executor.sweep()
-        # Final sweep so no ticket is stranded past shutdown.
-        self.executor.flush()
-
-    def _start_flush_thread(self):
-        if self.flush_interval is None or self._flush_thread is not None:
-            return
-        self._flush_thread = threading.Thread(
-            target=self._flush_loop, name="swgate-serve-flush", daemon=True,
-        )
-        self._flush_thread.start()
-
     def start(self):
-        """Serve in background threads; returns the base URL."""
-        self._start_flush_thread()
+        """Serve in a background thread; returns the base URL."""
         if self._serve_thread is None:
             self._serve_thread = threading.Thread(
                 target=self._httpd.serve_forever,
@@ -327,22 +303,19 @@ class CircuitServer:
 
     def serve_forever(self):
         """Serve in the calling thread (the CLI foreground mode)."""
-        self._start_flush_thread()
         try:
             self._httpd.serve_forever()
         finally:
             self.close()
 
     def close(self):
-        """Stop serving, join the flush thread, release the socket."""
-        self._stop.set()
+        """Stop serving, flush what is queued, release the socket."""
         if self._serve_thread is not None:
             self._httpd.shutdown()
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-        if self._flush_thread is not None:
-            self._flush_thread.join(timeout=5.0)
-            self._flush_thread = None
+        # No ticket is stranded past shutdown.
+        self.executor.flush()
         self._httpd.server_close()
         if self.events is not None:
             # Closes only a sink file the event log opened itself; the
@@ -358,17 +331,6 @@ class CircuitServer:
         return False
 
     # -- request handling ----------------------------------------------
-    def _wait_timeout(self):
-        """How long a handler waits for the flush policy before forcing.
-
-        Twice the latency bound plus two sweep intervals comfortably
-        covers the worst-case sweep phase; the force after the deadline
-        is a latency fallback, never a correctness requirement.
-        """
-        if self.executor.max_latency is None or self.flush_interval is None:
-            return _DEFAULT_WAIT
-        return 2.0 * self.executor.max_latency + 2.0 * self.flush_interval
-
     def handle_run(self, payload, request_id=None):
         """Decode, submit, await and encode one ``/v1/run`` request.
 
@@ -395,7 +357,14 @@ class CircuitServer:
                 mode=request.mode,
                 request_id=request_id,
             )
-            result = ticket.result(timeout=self._wait_timeout())
+            if ticket.deadline is None:
+                result = ticket.result(timeout=_DEFAULT_WAIT)
+            else:
+                # Past its deadline the ticket's queue is stale: the
+                # sweep flushes it, and no younger queue.
+                if not ticket.wait(ticket.deadline - time.monotonic()):
+                    self.executor.sweep()
+                result = ticket.result()
             status = 200
             wire = protocol.result_to_wire(
                 result, include_cells=request.cells

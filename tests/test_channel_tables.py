@@ -28,7 +28,7 @@ from repro.circuits import (
 )
 from repro.circuits import compiled
 from repro.circuits.library import PHYSICAL_BINDINGS, physical_arity
-from repro.core.faults import TransducerFault
+from repro.core.faults import TransducerFault, enumerate_faults
 from repro.errors import SimulationError
 from repro.waveguide import NoiseModel
 
@@ -123,6 +123,31 @@ class TestFaultCache:
         assert again.failed == first.failed
         for name, record in first.cells.items():
             assert again.cells[name] == record
+
+    @pytest.mark.parametrize("n_bits", [8, 4, 2])
+    def test_faulted_reference_is_the_simulator_calibration(self, n_bits):
+        """The faulted calibration read off the fault table's own GEMM
+        (pattern 0 is the all-zeros word) equals the faulted simulator's
+        one-row-bank calibration, for every single fault."""
+        bindings = GateBindings(n_bits=n_bits)
+        artifact = compile_circuit(ripple_carry_adder(4), bindings)
+        ops = {
+            op.operation: op for plan in artifact.levels for op in plan.ops
+        }
+        assert set(ops) == set(PHYSICAL_BINDINGS)
+        checked = 0
+        for operation, op in ops.items():
+            for fault in enumerate_faults(bindings.gate(operation)):
+                phases, amplitudes = artifact._fault_entry(op, fault)[0]
+                reference = bindings.faulty_simulator(
+                    operation, fault
+                ).calibration_arrays()
+                assert np.abs(amplitudes - reference[1]).max() <= TOL
+                offset = np.angle(np.exp(1j * (phases - reference[0])))
+                assert np.abs(offset).max() <= TOL
+                checked += 1
+        # 4 kinds on every channel of MAJ3's 3 and XOR2's 2 inputs.
+        assert checked == 4 * n_bits * 5
 
 
 def _physical_cells(netlist):

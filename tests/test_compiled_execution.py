@@ -7,6 +7,8 @@ LRU hit/miss/invalidate behaviour of the compile cache, recompilation
 when a netlist grows, and the executor's validation and bookkeeping.
 """
 
+import time
+
 import pytest
 
 from repro.circuits import (
@@ -19,6 +21,7 @@ from repro.circuits import (
     netlist_signature,
     ripple_carry_adder,
 )
+from repro.circuits import executor as executor_module
 from repro.circuits.netlist import Netlist
 from repro.core.faults import TransducerFault
 from repro.errors import EncodingError, NetlistError
@@ -43,6 +46,26 @@ BATCH = [
     {"a": 1, "b": 1, "c": 0},
     {"a": 1, "b": 0, "c": 1},
 ]
+
+
+class _Clock:
+    """The executor module's ``time`` with a hand-driven ``monotonic``:
+    queues age only when a test moves :attr:`now`."""
+
+    perf_counter = staticmethod(time.perf_counter)
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture()
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr(executor_module, "time", fake)
+    return fake
 
 
 class TestNetlistSignature:
@@ -348,19 +371,19 @@ class TestExecutorFailureBookkeeping:
         assert slow.done  # swept by the same submit, despite the flush
         assert slow.result().outputs == netlist.evaluate_batch(BATCH[:1])
 
-    def test_sweep_method_bounds_latency_without_traffic(self):
-        """``sweep()`` (the daemon flush thread's entry point) flushes
-        stale queues with no new submit to piggyback on."""
-        import time as _time
-
+    def test_sweep_method_bounds_latency_without_traffic(self, clock):
+        """A same-key submit inside the window waits for a partner, and
+        ``sweep()`` (a daemon handler's call at its ticket's deadline)
+        flushes it once stale, with no new submit to piggyback on."""
         executor = CircuitExecutor(
             n_bits=N_BITS, max_block=1024, max_latency=0.005
         )
         netlist = xor_pair("idle")
+        assert executor.submit(netlist, BATCH).done  # no partner in sight
         ticket = executor.submit(netlist, BATCH)
-        assert not ticket.done  # young queue: submit-time sweep skipped it
+        assert not ticket.done  # partnered: waits in a young queue
         assert executor.sweep() == 0
-        _time.sleep(0.02)
+        clock.now = ticket.deadline
         assert executor.sweep() == 1
         assert ticket.done
         assert ticket.result().outputs == netlist.evaluate_batch(BATCH)
@@ -377,6 +400,113 @@ class TestExecutorFailureBookkeeping:
         text = executor.describe()
         assert "error rate" in text
         assert "1 errors" in text
+
+
+class TestPartnerAwareFlush:
+    """With ``max_latency`` set, a queue waits only while a same-key
+    partner is in sight."""
+
+    def test_lone_submit_resolves_inside_submit(self):
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=1024, max_latency=60.0
+        )
+        netlist = xor_pair("lone")
+        ticket = executor.submit(netlist, BATCH)
+        assert ticket.done
+        assert executor.pending_words == 0
+        assert ticket.result().outputs == netlist.evaluate_batch(BATCH)
+        assert executor.stats["flushes"]["alone"] == 1
+
+    def test_partnered_submit_waits_then_coalesces_on_max_block(self):
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=2 * len(BATCH), max_latency=60.0
+        )
+        netlist = xor_pair("pair")
+        first = executor.submit(netlist, BATCH)
+        assert first.done
+        second = executor.submit(netlist, BATCH)
+        assert not second.done
+        third = executor.submit(netlist, BATCH)
+        assert second.done and third.done
+        assert second.trace.block_id == third.trace.block_id
+        assert second.trace.block_id != first.trace.block_id
+        assert third.trace.coalesced_with == [second.request_id]
+        assert executor.stats["blocks"] == 2
+        assert executor.stats["flushes"] == {
+            "full": 1, "alone": 1, "deadline": 0, "forced": 0,
+        }
+
+    def test_other_keys_are_no_partners(self):
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=1024, max_latency=60.0
+        )
+        netlist = xor_pair("modes")
+        assert executor.submit(netlist, BATCH).done
+        assert executor.submit(netlist, BATCH, mode="trace").done
+        assert executor.submit(netlist, BATCH, strict=False).done
+        assert executor.stats["flushes"]["alone"] == 3
+
+    def test_arrival_map_stays_bounded(self, clock):
+        """Ever-new netlists spaced beyond the window never grow it."""
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=1024, max_latency=0.005
+        )
+        for index in range(10_000):
+            clock.now += 0.006
+            netlist = Netlist(f"n{index}")
+            netlist.add_input(f"in{index}")
+            netlist.add_cell("out", "INV", (f"in{index}",))
+            netlist.mark_output("out")
+            assert executor.submit(netlist, [{f"in{index}": 1}]).done
+            assert len(executor._arrivals) == 1
+        assert executor.stats["flushes"]["alone"] == 10_000
+
+    def test_submit_sweeps_another_keys_partnered_queue(self, clock):
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=1024, max_latency=1.0
+        )
+        netlist = xor_pair("stale")
+        executor.submit(netlist, BATCH)
+        waiting = executor.submit(netlist, BATCH)
+        assert not waiting.done
+        clock.now += 1.0
+        assert executor.submit(netlist, BATCH, mode="trace").done
+        assert waiting.done
+        assert executor.stats["flushes"]["deadline"] == 1
+
+    def test_each_flush_reason_counts_once(self, clock):
+        executor = CircuitExecutor(
+            n_bits=N_BITS, max_block=2 * len(BATCH), max_latency=1.0
+        )
+        netlist = xor_pair("why")
+        executor.submit(netlist, BATCH)  # alone
+        executor.submit(netlist, BATCH)  # waits for a partner ...
+        executor.submit(netlist, BATCH)  # ... which fills the block: full
+        executor.submit(netlist, BATCH).result()  # forced
+        stale = executor.submit(netlist, BATCH)
+        clock.now += 1.0
+        assert executor.sweep() == 1  # deadline
+        assert stale.done
+        assert executor.stats["flushes"] == {
+            "full": 1, "alone": 1, "deadline": 1, "forced": 1,
+        }
+        counters = executor.obs.snapshot()["counters"]
+        assert all(
+            counters[f"executor.flushes.{reason}"] == 1
+            for reason in ("full", "alone", "deadline", "forced")
+        )
+        assert "flushes 1 full, 1 alone, 1 deadline, 1 forced" in (
+            executor.describe()
+        )
+
+    def test_no_bound_keeps_todays_queueing(self):
+        executor = CircuitExecutor(n_bits=N_BITS, max_block=1024)
+        ticket = executor.submit(xor_pair("unbounded"), BATCH)
+        assert not ticket.done
+        assert ticket.deadline is None
+        assert executor._arrivals == {}
+        ticket.result()
+        assert executor.stats["flushes"]["forced"] == 1
 
 
 class TestFallbackEngineLifecycle:

@@ -858,3 +858,58 @@ class TestConcurrentClients:
         assert outcomes["phasor"].outputs == expected
         assert outcomes["trace"].outputs == expected
         assert server.executor.stats["blocks"] == 2
+
+
+class TestHandlerDeadlines:
+    """Each handler bounds its own request's queue wait; no thread
+    polls the executor."""
+
+    def test_lone_request_does_not_wait(self):
+        with CircuitServer(n_bits=N_BITS, max_latency=1.0) as daemon:
+            result = ServeClient(daemon.url).run(xor_pair("lone"), BATCH)
+            flushes = daemon.executor.stats["flushes"]
+        assert result.correct
+        assert result.trace.queue_wait_s < 0.1
+        assert flushes["alone"] == 1
+
+    def test_partner_that_never_comes_resolves_at_deadline(self):
+        latency = 0.5
+        with CircuitServer(
+            n_bits=N_BITS, max_latency=latency, warm=[xor_pair("w")]
+        ) as daemon:
+            client = ServeClient(daemon.url)
+            first = client.run(xor_pair("wait"), BATCH)
+            second = client.run(xor_pair("wait"), BATCH)
+            flushes = daemon.executor.stats["flushes"]
+        assert first.trace.queue_wait_s < 0.1
+        assert latency - 1e-6 <= second.trace.queue_wait_s < latency + 0.25
+        assert second.trace.block_id != first.trace.block_id
+        assert second.correct
+        assert flushes == {
+            "full": 0, "alone": 1, "deadline": 1, "forced": 0,
+        }
+
+    def test_no_polling_flush_thread(self):
+        with CircuitServer(n_bits=N_BITS, max_latency=0.002):
+            names = {thread.name for thread in threading.enumerate()}
+        assert "swgate-serve-http" in names
+        assert "swgate-serve-flush" not in names
+
+    def test_close_flushes_waiting_tickets(self):
+        daemon = CircuitServer(n_bits=N_BITS, max_latency=60.0)
+        daemon.start()
+        netlist = xor_pair("closing")
+        daemon.executor.submit(netlist, BATCH)
+        waiting = daemon.executor.submit(netlist, BATCH)
+        assert not waiting.done
+        daemon.close()
+        assert waiting.done
+        assert waiting.result().outputs == netlist.evaluate_batch(BATCH)
+
+    def test_unbounded_daemon_waits_then_forces(self):
+        with CircuitServer(n_bits=N_BITS, max_latency=None) as daemon:
+            result = ServeClient(daemon.url).run(xor_pair("free"), BATCH)
+            flushes = daemon.executor.stats["flushes"]
+        assert result.correct
+        assert result.trace.queue_wait_s >= 0.04
+        assert flushes["forced"] == 1
